@@ -82,16 +82,6 @@ double peak_rss_mb() {
   return usage_now().self_maxrss_mb;
 }
 
-double quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
-}
-
 std::uint64_t digest(std::string_view bytes) {
   return checksum_fold(kChecksumSeed, bytes.data(), bytes.size());
 }

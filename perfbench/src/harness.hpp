@@ -1,7 +1,6 @@
 // Measurement plumbing shared by every perfbench workload: clocks and
-// rusage, order statistics, the open-loop ingest ledger, the span ledger
-// that attributes a traced pass to layers, and the prior-survey archive
-// each pass reopens.
+// rusage, the open-loop ingest ledger, the span ledger that attributes a
+// traced pass to layers, and the prior-survey archive each pass reopens.
 #pragma once
 
 #include <cstddef>
@@ -41,14 +40,6 @@ Usage usage_now();
 void reset_peak_rss();
 /// Peak resident set since the last reset_peak_rss(), in MiB.
 double peak_rss_mb();
-
-/// Quantile with linear interpolation between order statistics (the
-/// "type 7" rule numpy and R use by default); q in [0, 1]. Empty input
-/// yields 0.
-double quantile(std::vector<double> values, double q);
-inline double median(std::vector<double> values) {
-  return quantile(std::move(values), 0.5);
-}
 
 /// FNV-1a digest of a byte string, for output-identity gates.
 std::uint64_t digest(std::string_view bytes);

@@ -13,6 +13,7 @@
 #include "serve/service.hpp"
 #include "steps.hpp"
 #include "synth/filterbank_survey.hpp"
+#include "util/stats.hpp"
 #include "workloads.hpp"
 
 namespace perfbench {
@@ -22,17 +23,12 @@ using namespace drapid;
 namespace {
 
 constexpr std::size_t kObservations = 8;
-/// Submission period. The writer needs about two thirds of it (0.23 s) per
+/// Submission period. The writer needs about two thirds of it (0.19 s) per
 /// observation on the reference host (4-core x86-64, AVX2 kernels), so it
 /// stays busy without a growing backlog.
-constexpr double kInterval = 0.35;
+constexpr double kInterval = 0.28;
 constexpr std::size_t kReaders = 2;
-constexpr double kMaxDm = 180.0;
 constexpr std::size_t kPulsesPerObservation = 24;
-/// Event band per observation: about the middle third of what the renderer
-/// draws at this geometry.
-constexpr std::size_t kMinEvents = 24000;
-constexpr std::size_t kMaxEvents = 34000;
 constexpr double kPoll = 200e-6;
 
 /// Reader threads, stopped and joined on every exit path.
@@ -57,7 +53,7 @@ class IngestQuery : public Workload {
   explicit IngestQuery(const WorkloadEnv& env)
       : env_(env),
         survey_(SurveyConfig::ska_mid()),
-        grid_(survey_.grid->prefix(kMaxDm + 20.0)) {
+        grid_(survey_.grid->prefix(kMaxSourceDm + kGridMarginDm)) {
     config_.filterbank.center_freq_mhz = survey_.center_freq_mhz;
     config_.filterbank.bandwidth_mhz = survey_.bandwidth_mhz;
     config_.filterbank.num_channels = 16;
@@ -72,24 +68,12 @@ class IngestQuery : public Workload {
     spec.dataset = "INGEST";
     spec.count = kObservations;
     spec.pulses = kPulsesPerObservation;
-    spec.grid = &grid_;
-    spec.search = config_.search;
-    spec.search.exec = ExecPolicy::local(3);
-    spec.min_events = kMinEvents;
-    spec.max_events = kMaxEvents;
     raw_ = render_survey(survey_, config_.filterbank, spec, env.seed);
     prior_dir_ = env.work_dir + "/prior_archive";
     pass_dir_ = env.work_dir + "/pass_archive";
     prior_ = write_prior_archive(prior_dir_, env.seed, 16, 2000);
     keys_ = observation_keys(prior_);
-    for (const auto& obs : raw_) {
-            const SweepPlan plan = build_sweep_plan(obs.fb, grid_, 1);
-      trials_ += static_cast<double>(plan.num_trials);
-      plans_ += static_cast<double>(plan.plans.size());
-      channel_samples_ += static_cast<double>(plan.plans.size()) *
-                          static_cast<double>(obs.fb.num_channels()) *
-                          static_cast<double>(obs.fb.num_samples());
-    }
+    plan_ = plan_work(raw_, grid_, config_.search.rfi);
   }
 
   PassStats run_pass(int pass, Ledger& ledger) override {
@@ -173,9 +157,7 @@ class IngestQuery : public Workload {
         *std::max_element(open.late_s.begin(), open.late_s.end());
     // The sweep runs inside the writer thread; its busy time stands in.
     stats.layer["dedisp.sweep_s"] = busy;
-    stats.layer["dedisp.trials"] = trials_;
-    stats.layer["dedisp.unique_plans"] = plans_;
-    stats.layer["dedisp.channel_samples"] = channel_samples_;
+    record_plan(plan_, stats);
     const std::size_t errors = service->ingest_errors();
     stats.layer["serve.ingest_errors"] = static_cast<double>(errors);
     stats.failures += errors;
@@ -238,9 +220,7 @@ class IngestQuery : public Workload {
   std::vector<std::string> keys_;  ///< of the prior survey
   std::string prior_dir_;
   std::string pass_dir_;
-  double trials_ = 0.0;
-  double plans_ = 0.0;
-  double channel_samples_ = 0.0;
+  PlanWork plan_;
 };
 
 }  // namespace

@@ -22,19 +22,32 @@ using namespace drapid;
 namespace {
 
 constexpr std::uint64_t kNoiseSeed = 20180813;
+constexpr std::uint64_t kRfiSeed = 20181105;
+
+/// A swept chirp mimics dispersion, so the search sees it across many DM
+/// trials: past about a fifth of the band its event count runs from a few
+/// thousand to tens of thousands. Chirps are kept to this share of the band.
+constexpr double kMaxChirpBandShare = 0.2;
 
 /// Redraws the survey's scenario until it holds exactly one instance of
-/// each structured family, so every observation (and every seed) carries
-/// the same interference load.
-RfiScenario draw_one_of_each(const SurveyConfig& survey, double obs_length_s,
-                             Rng& rng) {
+/// each structured family and its chirp sweeps at most kMaxChirpBandShare
+/// of the band, so every observation slot carries a like interference load.
+RfiScenario draw_scenario(const SurveyConfig& survey, double obs_length_s,
+                          Rng& rng) {
   for (int attempt = 0; attempt < 10000; ++attempt) {
     RfiScenario scenario = draw_rfi_scenario(survey, obs_length_s, rng);
     int counts[3] = {0, 0, 0};
+    bool narrow = true;
     for (const auto& inst : scenario.instances) {
       ++counts[static_cast<int>(inst.family)];
+      if (inst.family == RfiFamily::kSweptChirp) {
+        narrow = std::abs(inst.freq_end_mhz - inst.freq_begin_mhz) <=
+                 kMaxChirpBandShare * survey.bandwidth_mhz;
+      }
     }
-    if (counts[0] == 1 && counts[1] == 1 && counts[2] == 1) return scenario;
+    if (narrow && counts[0] == 1 && counts[1] == 1 && counts[2] == 1) {
+      return scenario;
+    }
   }
   throw std::runtime_error("survey draws no one-of-each RFI scenario");
 }
@@ -52,13 +65,7 @@ std::vector<RawObservation> render_survey(const SurveyConfig& survey,
 
   Rng rng(seed);
   std::vector<RawObservation> out;
-  constexpr std::size_t kMaxAttempts = 200;
-  for (std::size_t attempt = 0; out.size() < spec.count; ++attempt) {
-    if (attempt == kMaxAttempts) {
-      throw std::runtime_error("no observation in the event band after " +
-                               std::to_string(kMaxAttempts) + " attempts");
-    }
-    const std::size_t k = out.size();
+  for (std::size_t k = 0; k < spec.count; ++k) {
     ObservationId id;
     id.dataset = spec.dataset;
     id.mjd = 59000.0 + static_cast<double>(k) * 0.01;
@@ -66,10 +73,12 @@ std::vector<RawObservation> render_survey(const SurveyConfig& survey,
     id.dec_deg = rng.uniform(-60.0, 30.0);
     id.beam = static_cast<int>(k);
     RawObservation obs{id, Filterbank(geom), {}};
-    // Radiometer noise is one fixed realization per observation slot. Its
-    // false alarms repeat across the fine low-DM trials, so their count is
-    // heavy-tailed in the noise draw; fixing it keeps the work per pass
-    // steady while the seed varies every pulse and interference instance.
+    // Radiometer noise and interference are one fixed realization per
+    // observation slot. Noise false alarms repeat across the fine low-DM
+    // trials and interference leftovers across many more, so their event
+    // counts, and the clustering cost that grows faster than them, are
+    // heavy-tailed in the draw; fixing them keeps the work per pass steady
+    // while the seed draws the sky position and every pulse.
     Rng noise(kNoiseSeed + k);
     obs.fb.add_noise(noise, 1.0);
 
@@ -80,13 +89,13 @@ std::vector<RawObservation> render_survey(const SurveyConfig& survey,
     std::vector<Source> sources;
     for (int s = 0; s < 3; ++s) {
       sources.push_back({s == 2 ? SourceType::kRrat : SourceType::kPulsar,
-                         rng.uniform(spec.min_dm, spec.max_dm), rng.uniform(1.0, 4.0),
-                         rng.uniform(12.0, 20.0)});
+                         rng.uniform(kMinSourceDm, kMaxSourceDm),
+                         rng.uniform(1.0, 4.0), rng.uniform(12.0, 20.0)});
     }
     // The lowest channel arrives last; keep every pulse inside the data.
     const double band_bottom = geom.center_freq_mhz - geom.bandwidth_mhz / 2;
     const double latest =
-        geom.obs_length_s - dispersion_delay_s(spec.max_dm, band_bottom) - 0.2;
+        geom.obs_length_s - dispersion_delay_s(kMaxSourceDm, band_bottom) - 0.2;
     for (std::size_t p = 0; p < spec.pulses; ++p) {
       const Source& src = sources[p % sources.size()];
       const double t0 = rng.uniform(0.2, latest);
@@ -105,18 +114,30 @@ std::vector<RawObservation> render_survey(const SurveyConfig& survey,
       gt.width_ms = src.width_ms;
       obs.truth.push_back(gt);
     }
-    render_rfi_filterbank(draw_one_of_each(survey, geom.obs_length_s, rng),
-                          render, obs.fb, rng);
-    // Bright pulses and interference leftovers repeat across many trials,
-    // so the event count of a draw is heavy-tailed; it sets the cost of
-    // everything after the sweep. Keep only draws inside the band.
-    const std::size_t events =
-        single_pulse_search(obs.fb, *spec.grid, spec.search).size();
-    if (events >= spec.min_events && events <= spec.max_events) {
-      out.push_back(std::move(obs));
-    }
+    Rng rfi(kRfiSeed + k);
+    render_rfi_filterbank(draw_scenario(survey, geom.obs_length_s, rfi),
+                          render, obs.fb, rfi);
+    out.push_back(std::move(obs));
   }
   return out;
+}
+
+PlanWork plan_work(const std::vector<RawObservation>& observations,
+                   const DmGrid& grid, const RfiMitigationParams& rfi) {
+  PlanWork work;
+  for (const auto& obs : observations) {
+    // The mask the search estimates from the raw observation.
+    const std::vector<std::uint8_t> mask =
+        policy_masks_channels(rfi.policy) ? estimate_channel_mask(obs.fb, rfi)
+                                          : std::vector<std::uint8_t>{};
+    const SweepPlan plan = build_sweep_plan(obs.fb, grid, 1, mask);
+    work.trials += static_cast<double>(plan.num_trials);
+    work.unique_plans += static_cast<double>(plan.plans.size());
+    work.channel_samples += static_cast<double>(plan.plans.size()) *
+                            static_cast<double>(obs.fb.num_channels()) *
+                            static_cast<double>(obs.fb.num_samples());
+  }
+  return work;
 }
 
 EventSurvey simulate_event_survey(const SurveyConfig& survey,

@@ -9,10 +9,17 @@
 #include <vector>
 
 #include "dedisp/filterbank.hpp"
-#include "dedisp/single_pulse_search.hpp"
+#include "dedisp/rfi_mitigation.hpp"
+#include "spe/dm_grid.hpp"
 #include "synth/survey.hpp"
 
 namespace perfbench {
+
+/// DM range of the pulse sources render_survey paints. The filterbank
+/// workloads sweep a grid reaching kGridMarginDm past the top source.
+constexpr double kMinSourceDm = 60.0;
+constexpr double kMaxSourceDm = 180.0;
+constexpr double kGridMarginDm = 20.0;
 
 /// One raw observation with the pulses painted into it.
 struct RawObservation {
@@ -26,26 +33,34 @@ struct RenderSpec {
   std::string dataset;
   std::size_t count = 4;    ///< observations
   std::size_t pulses = 20;  ///< per observation
-  double min_dm = 60.0;
-  double max_dm = 180.0;
-  /// Sweep that decides whether a draw is kept: its event count must fall
-  /// in [min_events, max_events].
-  const drapid::DmGrid* grid = nullptr;
-  drapid::SinglePulseSearchParams search;
-  std::size_t min_events = 0;
-  std::size_t max_events = 0;
 };
 
 /// Renders dirty filterbanks in `survey`'s band: radiometer noise,
 /// `spec.pulses` dispersed pulses from three sources per observation (two
-/// pulsars and an RRAT), and one instance of each structured RFI family.
-/// Draws are repeated until `spec.count` observations sweep to an event
-/// count inside the band. Truth times are in the sweep's frame
-/// (top-of-band arrival), as the ground-truth matchers expect.
+/// pulsars and an RRAT), and one instance of each structured RFI family,
+/// the swept chirp kept to a narrow stretch of the band. The seed draws the
+/// sky position and the pulses; noise and interference are one fixed
+/// realization per observation slot. Nothing is searched to choose inputs.
+/// Truth times are in the sweep's frame (top-of-band arrival), as the
+/// ground-truth matchers expect.
 std::vector<RawObservation> render_survey(const drapid::SurveyConfig& survey,
                                           const drapid::FilterbankConfig& geom,
                                           const RenderSpec& spec,
                                           std::uint64_t seed);
+
+/// The sweep plans of the observations as the mitigated search builds them
+/// (channel mask estimated from the raw data, stride 1), summed: constants
+/// of the inputs, not readings from a pass.
+struct PlanWork {
+  double trials = 0.0;
+  double unique_plans = 0.0;
+  /// unique plans x channels x samples: the exact sweep's work, a nominal
+  /// measure for the subband and streaming sweeps.
+  double channel_samples = 0.0;
+};
+PlanWork plan_work(const std::vector<RawObservation>& observations,
+                   const drapid::DmGrid& grid,
+                   const drapid::RfiMitigationParams& rfi);
 
 /// An event-level survey in the file formats run_drapid loads.
 struct EventSurvey {

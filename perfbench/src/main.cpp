@@ -25,6 +25,7 @@
 #include "dedisp/kernels.hpp"
 #include "harness.hpp"
 #include "obs/json.hpp"
+#include "util/stats.hpp"
 #include "workloads.hpp"
 
 #ifndef PERFBENCH_BUILD_TYPE
@@ -33,6 +34,8 @@
 
 namespace perfbench {
 
+using drapid::median;
+using drapid::quantile;
 using drapid::obs::Json;
 
 void PassClock::stop(PassStats& stats) const {
@@ -102,13 +105,15 @@ std::vector<std::string> self_tests() {
   };
   const auto near = [](double a, double b) { return std::abs(a - b) < 1e-9; };
 
-  expect(near(median({3, 1, 2}), 2.0), "median of odd count");
-  expect(near(median({4, 1, 3, 2}), 2.5), "median of even count");
+  const std::vector<double> odd = {3, 1, 2}, even = {4, 1, 3, 2}, one = {7};
+  expect(near(median(odd), 2.0), "median of odd count");
+  expect(near(median(even), 2.5), "median of even count");
   std::vector<double> hundred;
   for (int i = 1; i <= 100; ++i) hundred.push_back(i);
   expect(near(quantile(hundred, 0.99), 99.01), "p99 interpolates");
-  expect(near(quantile({7}, 0.99), 7.0), "quantile of one sample");
-  expect(quantile({}, 0.5) == 0.0, "quantile of no samples");
+  expect(near(quantile(one, 0.99), 7.0), "quantile of one sample");
+  expect(quantile(std::vector<double>{}, 0.5) == 0.0,
+         "quantile of no samples");
 
   // The generator stalls from 0.5 s to 2.6 s: observations due at 1 and 2
   // go out late, and the stall is charged to both from their due times.
@@ -266,9 +271,13 @@ Json per_layer(const std::vector<std::pair<int, PassStats>>& traced,
     } else if (name == "cold_pass_s") {
       value = cold_s;
     } else if (name == "obs.peak_rss_mb") {
-      // Peak of the passes alone, pool workers included. Allocator
-      // retention makes it vary by a quarter or more between seeds, too
-      // much for an end-to-end bound, so it is reported here.
+      // The self peak covers the passes after the warm-up alone. The
+      // children's peak cannot be reset: it is the largest child reaped
+      // since the process began (the self-test's probe, forked before any
+      // input exists, and every pass's pool workers, the warm-up's
+      // included), and a forked worker counts the parent pages it shares.
+      // Allocator retention makes it vary by a quarter or more between
+      // seeds, too much for an end-to-end bound, so it is reported here.
       value = std::max(peak_rss_mb(), usage_now().children_maxrss_mb);
     } else {
       std::vector<double> values;

@@ -97,6 +97,12 @@ void record_job(const DrapidResult& result, double run_wall_s,
   stats.failures += retries + deaths;
 }
 
+void record_plan(const PlanWork& plan, PassStats& stats) {
+  stats.layer["dedisp.trials"] = plan.trials;
+  stats.layer["dedisp.unique_plans"] = plan.unique_plans;
+  stats.layer["dedisp.channel_samples"] = plan.channel_samples;
+}
+
 double identification_recall(
     const std::vector<MlRecord>& records,
     const std::vector<SimulatedObservation>& observations,

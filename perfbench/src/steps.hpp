@@ -11,6 +11,7 @@
 #include "drapid/driver.hpp"
 #include "exp/trial_runner.hpp"
 #include "harness.hpp"
+#include "inputs.hpp"
 #include "serve/archive.hpp"
 #include "synth/survey.hpp"
 #include "workloads.hpp"
@@ -35,6 +36,10 @@ std::vector<Batch> pulse_batches(const std::vector<drapid::MlRecord>& records);
 /// retries plus worker deaths as failures.
 void record_job(const drapid::DrapidResult& result, double run_wall_s,
                 PassStats& stats);
+
+/// Copies the inputs' sweep-plan totals into `stats.layer`
+/// (dedisp.trials, dedisp.unique_plans, dedisp.channel_samples).
+void record_plan(const PlanWork& plan, PassStats& stats);
 
 /// Share of the truth pulses at least `min_truth_snr` bright that an
 /// identified pulse matches by the label_records rule (SNRPeakDM within 3,
