@@ -93,26 +93,48 @@ void BM_ExtractFeatures(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtractFeatures)->Arg(100)->Arg(1000);
 
-void BM_Dbscan(benchmark::State& state) {
+/// Sparse uniform events over 0–500 pc cm^-3 and 120 s, or — with
+/// `dirty_column` — half of them in interference columns: 500 consecutive
+/// DM trials at one sample each, the shape zero-DM leftovers and noise false
+/// alarms leave after a sweep. A column makes a time-window scan across all
+/// trials quadratic in its height.
+void BM_Dbscan(benchmark::State& state, bool dirty_column) {
   Rng rng(7);
   ObservationData obs;
   obs.id.dataset = "BM";
   const auto n = static_cast<std::size_t>(state.range(0));
-  for (std::size_t i = 0; i < n; ++i) {
+  const DmGrid grid = DmGrid::gbt350drift();
+  constexpr std::size_t kColumnHeight = 500;
+  while (obs.events.size() < n) {
+    if (dirty_column && obs.events.size() % 2 == 0 &&
+        n - obs.events.size() >= kColumnHeight) {
+      const double t = rng.uniform(0.0, 120.0);
+      const auto first = static_cast<std::size_t>(
+          rng.below(grid.size() - kColumnHeight));
+      for (std::size_t k = first; k < first + kColumnHeight; ++k) {
+        SinglePulseEvent e;
+        e.dm = grid.dm_at(k);
+        e.snr = 5.0 + rng.exponential(1.0);
+        e.time_s = t;
+        obs.events.push_back(e);
+      }
+      continue;
+    }
     SinglePulseEvent e;
     e.dm = rng.uniform(0.0, 500.0);
     e.snr = 5.0 + rng.exponential(1.0);
     e.time_s = rng.uniform(0.0, 120.0);
     obs.events.push_back(e);
   }
-  const DmGrid grid = DmGrid::gbt350drift();
   for (auto _ : state) {
     benchmark::DoNotOptimize(dbscan_cluster(obs, grid, {}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
+void BM_Dbscan(benchmark::State& state) { BM_Dbscan(state, false); }
 BENCHMARK(BM_Dbscan)->Arg(1000)->Arg(10000);
+BENCHMARK_CAPTURE(BM_Dbscan, dirty_column, true)->Arg(10000);
 
 void BM_SnrDegradation(benchmark::State& state) {
   double err = 0.0;

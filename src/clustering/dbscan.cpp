@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <numeric>
+#include <stdexcept>
 
 namespace drapid {
 
@@ -16,40 +16,117 @@ struct Point {
   std::size_t event_index = 0;
 };
 
-/// Neighbour finder over points sorted by time: binary-search the time
-/// window, then filter on the elliptical neighbourhood.
+/// Neighbour finder over points sorted by time, with a DM-band index on top
+/// of that order.
+///
+/// The time sort fixes everything downstream: point order, cluster ids in
+/// first-seed order, member order and the summation order of each
+/// fragment's time centroid. The band index only narrows where a query
+/// looks. Bands are `eps_dm_trials` wide along the trial axis (one trial
+/// wide for ε < 1: trials are integers, so narrower bands would only add
+/// empty ones); each band lists its points (time, trial, index into
+/// points()) in that same time order, all bands in one flat CSR array. A
+/// query visits only the bands
+/// overlapping [trial - ε, trial + ε], binary-searches each band's time
+/// window, and merges the hits by index — so the neighbour list is exactly
+/// what a scan of the whole time window across every trial would produce,
+/// in the same ascending order, without that scan's cost on interference
+/// columns (thousands of events at one sample across many trials).
 class NeighbourIndex {
  public:
   NeighbourIndex(std::vector<Point> points, const DbscanParams& params)
-      : points_(std::move(points)), params_(params) {
+      : points_(std::move(points)),
+        eps_time_(params.eps_time_s),
+        eps_dm_(params.eps_dm_trials),
+        band_width_(std::max(params.eps_dm_trials, 1.0)) {
     std::sort(points_.begin(), points_.end(),
               [](const Point& a, const Point& b) { return a.time < b.time; });
+    double max_trial = 0.0;
+    for (const Point& p : points_) max_trial = std::max(max_trial, p.trial);
+    last_band_ = std::floor(max_trial / band_width_);
+    // Counting sort of the time-ordered points into their bands.
+    band_start_.assign(static_cast<std::size_t>(last_band_) + 2, 0);
+    for (const Point& p : points_) ++band_start_[band_of(p.trial) + 1];
+    for (std::size_t b = 1; b < band_start_.size(); ++b) {
+      band_start_[b] += band_start_[b - 1];
+    }
+    entries_.resize(points_.size());
+    std::vector<std::size_t> fill(band_start_.begin(), band_start_.end() - 1);
+    for (std::size_t i = 0; i < points_.size(); ++i) {
+      const Point& p = points_[i];
+      entries_[fill[band_of(p.trial)]++] = Entry{p.time, p.trial, i};
+    }
   }
 
   const std::vector<Point>& points() const { return points_; }
 
   /// Indices (into points()) within the ε-neighbourhood of points()[i],
-  /// including i itself.
-  void neighbours_of(std::size_t i, std::vector<std::size_t>& out) const {
+  /// including i itself, in ascending order.
+  void neighbours_of(std::size_t i, std::vector<std::size_t>& out) {
     out.clear();
     const Point& p = points_[i];
-    const double t_lo = p.time - params_.eps_time_s;
-    const double t_hi = p.time + params_.eps_time_s;
-    auto lo = std::lower_bound(
-        points_.begin(), points_.end(), t_lo,
-        [](const Point& a, double t) { return a.time < t; });
-    for (auto it = lo; it != points_.end() && it->time <= t_hi; ++it) {
-      const double dt = (it->time - p.time) / params_.eps_time_s;
-      const double dd = (it->trial - p.trial) / params_.eps_dm_trials;
-      if (dt * dt + dd * dd <= 1.0) {
-        out.push_back(static_cast<std::size_t>(it - points_.begin()));
+    const double t_lo = p.time - eps_time_;
+    const double t_hi = p.time + eps_time_;
+    // Trials are integer grid indices, so a point passes the test below
+    // only if its trial lies in [trial - ε, trial + ε] exactly. Both ends go
+    // through band_of, the function that placed the points, and it is
+    // monotone, so every such trial sits in a band between the two — for
+    // any ε, integer or not.
+    const std::size_t first = band_of(p.trial - eps_dm_);
+    const std::size_t last = band_of(p.trial + eps_dm_);
+    cursors_.clear();
+    for (std::size_t b = first; b <= last; ++b) {
+      const auto begin = entries_.begin() + band_start_[b];
+      const auto end = entries_.begin() + band_start_[b + 1];
+      const auto lo = std::lower_bound(
+          begin, end, t_lo, [](const Entry& e, double t) { return e.time < t; });
+      if (lo != end && lo->time <= t_hi) cursors_.push_back({lo, end});
+    }
+    // k-way merge by index over the bands visited: three or fewer, barring
+    // rounding at a band edge.
+    while (!cursors_.empty()) {
+      std::size_t best = 0;
+      for (std::size_t c = 1; c < cursors_.size(); ++c) {
+        if (cursors_[c].at->index < cursors_[best].at->index) best = c;
+      }
+      Cursor& cur = cursors_[best];
+      const Entry& e = *cur.at;
+      const double dt = (e.time - p.time) / eps_time_;
+      const double dd = (e.trial - p.trial) / eps_dm_;
+      if (dt * dt + dd * dd <= 1.0) out.push_back(e.index);
+      if (++cur.at == cur.end || cur.at->time > t_hi) {
+        cur = cursors_.back();
+        cursors_.pop_back();
       }
     }
   }
 
  private:
+  struct Entry {
+    double time;
+    double trial;
+    std::size_t index;  // into points_
+  };
+  using EntryIt = std::vector<Entry>::const_iterator;
+  struct Cursor {
+    EntryIt at, end;
+  };
+
+  /// floor(trial / band width), clamped to the bands that exist; monotone.
+  std::size_t band_of(double trial) const {
+    const double band = std::floor(trial / band_width_);
+    if (!(band > 0.0)) return 0;
+    return static_cast<std::size_t>(std::min(band, last_band_));
+  }
+
   std::vector<Point> points_;
-  const DbscanParams& params_;
+  double eps_time_;
+  double eps_dm_;
+  double band_width_;
+  double last_band_ = 0.0;
+  std::vector<std::size_t> band_start_;  // CSR offsets into entries_
+  std::vector<Entry> entries_;           // per band, in time order
+  std::vector<Cursor> cursors_;          // merge state, reused per query
 };
 
 struct Fragment {
@@ -81,6 +158,16 @@ class DisjointSets {
 
 ClusteringResult dbscan_cluster(const ObservationData& obs, const DmGrid& grid,
                                 const DbscanParams& params) {
+  // A zero or non-finite ε would make every neighbourhood test NaN and
+  // report the whole observation as noise; min_pts 0 makes every point core.
+  if (!std::isfinite(params.eps_time_s) || params.eps_time_s <= 0.0 ||
+      !std::isfinite(params.eps_dm_trials) || params.eps_dm_trials <= 0.0) {
+    throw std::invalid_argument(
+        "dbscan_cluster: eps_time_s and eps_dm_trials must be finite and > 0");
+  }
+  if (params.min_pts == 0) {
+    throw std::invalid_argument("dbscan_cluster: min_pts must be at least 1");
+  }
   ClusteringResult result;
   result.labels.assign(obs.events.size(), -1);
   if (obs.events.empty()) return result;
@@ -95,9 +182,13 @@ ClusteringResult dbscan_cluster(const ObservationData& obs, const DmGrid& grid,
   NeighbourIndex index(std::move(points), params);
   const auto& pts = index.points();
 
-  // Standard DBSCAN: -2 = unvisited, -1 = noise, >=0 = cluster id.
+  // Standard DBSCAN: -2 = unvisited, -1 = noise, >=0 = cluster id. A point
+  // is claimed when first queued, so each enters the queue once and joins
+  // the fragment in first-reached (breadth-first) order. A point already
+  // labelled noise — a seed that failed the core test — stays noise even
+  // when a later core point reaches it.
   std::vector<int> label(pts.size(), -2);
-  std::vector<std::size_t> neighbours, expansion;
+  std::vector<std::size_t> neighbours, queue;
   int next_cluster = 0;
   std::vector<Fragment> fragments;
 
@@ -110,25 +201,28 @@ ClusteringResult dbscan_cluster(const ObservationData& obs, const DmGrid& grid,
     }
     const int cid = next_cluster++;
     label[i] = cid;
-    std::deque<std::size_t> queue(neighbours.begin(), neighbours.end());
+    queue.clear();
+    const auto claim = [&](const std::vector<std::size_t>& found) {
+      for (const std::size_t j : found) {
+        if (label[j] == -2) {
+          label[j] = cid;
+          queue.push_back(j);
+        }
+      }
+    };
+    claim(neighbours);
     Fragment frag;
     frag.event_indices.push_back(pts[i].event_index);
     double time_sum = pts[i].time;
     frag.trial_min = frag.trial_max = pts[i].trial;
-    while (!queue.empty()) {
-      const std::size_t j = queue.front();
-      queue.pop_front();
-      if (label[j] == -1) label[j] = cid;  // border point adopted
-      if (label[j] != -2) continue;
-      label[j] = cid;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::size_t j = queue[head];
       frag.event_indices.push_back(pts[j].event_index);
       time_sum += pts[j].time;
       frag.trial_min = std::min(frag.trial_min, pts[j].trial);
       frag.trial_max = std::max(frag.trial_max, pts[j].trial);
-      index.neighbours_of(j, expansion);
-      if (expansion.size() >= params.min_pts) {
-        queue.insert(queue.end(), expansion.begin(), expansion.end());
-      }
+      index.neighbours_of(j, neighbours);
+      if (neighbours.size() >= params.min_pts) claim(neighbours);
     }
     frag.time_centroid =
         time_sum / static_cast<double>(frag.event_indices.size());

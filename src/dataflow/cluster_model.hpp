@@ -1,7 +1,7 @@
 // Discrete-event cost model of the paper's two testbeds.
 //
-// The build machine for this reproduction has a single core, so a real
-// wall-clock measurement cannot exhibit the parallel speedups of Figure 4.
+// The build host for this reproduction has 4 cores, so a real wall-clock
+// measurement cannot exhibit the 15-node, 60-core speedups of Figure 4.
 // Instead, the engine executes the workload for real and records *measured
 // work* per task (compute units, shuffle bytes, spill bytes) in JobMetrics;
 // this model then prices that work against a hardware specification and

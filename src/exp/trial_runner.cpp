@@ -51,10 +51,12 @@ TrialResult run_trial(const std::vector<LabeledPulse>& pulses,
     };
   }
   std::vector<int> predictions;
+  ml::CvOptions cv_options;
+  cv_options.exec = ExecPolicy::local(spec.cv_threads);
   const auto cv = ml::cross_validate(
       cv_data, 5,
       [&spec] { return ml::make_classifier(spec.learner, spec.seed); },
-      cv_rng, transform, &predictions, ml::CvOptions{spec.cv_threads});
+      cv_rng, transform, &predictions, cv_options);
 
   const auto pooled = cv.pooled_binary();
   result.recall = pooled.recall();

@@ -1,8 +1,8 @@
 #include "rapid/features.hpp"
 
 #include <algorithm>
+#include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/stats.hpp"
@@ -101,24 +101,15 @@ std::string ml_file_header() {
   return header;
 }
 
-namespace {
-std::string fmt(double v) {
-  std::ostringstream out;
-  out.precision(17);
-  out << v;
-  return out.str();
-}
-}  // namespace
-
 CsvRow format_ml_row(const MlRecord& rec) {
   CsvRow row{rec.obs.dataset,
-             fmt(rec.obs.mjd),
-             fmt(rec.obs.ra_deg),
-             fmt(rec.obs.dec_deg),
+             format_double(rec.obs.mjd, 17),
+             format_double(rec.obs.ra_deg, 17),
+             format_double(rec.obs.dec_deg, 17),
              std::to_string(rec.obs.beam),
              std::to_string(rec.cluster_id),
              std::to_string(rec.pulse_index)};
-  for (double v : rec.features.values) row.push_back(fmt(v));
+  for (double v : rec.features.values) row.push_back(format_double(v, 17));
   row.push_back(rec.truth_label);
   return row;
 }

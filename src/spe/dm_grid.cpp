@@ -35,11 +35,24 @@ DmGrid::DmGrid(std::vector<DmPlanSegment> plan) : plan_(std::move(plan)) {
 }
 
 std::size_t DmGrid::index_of(double dm) const {
-  const auto it = std::lower_bound(trials_.begin(), trials_.end(), dm);
-  if (it == trials_.begin()) return 0;
-  if (it == trials_.end()) return trials_.size() - 1;
-  const auto hi = static_cast<std::size_t>(it - trials_.begin());
-  const std::size_t lo = hi - 1;
+  if (!(dm > trials_.front())) return 0;  // NaN included
+  if (dm > trials_.back()) return trials_.size() - 1;
+  // `hi` becomes the first trial >= dm, exactly as lower_bound over trials_
+  // would find it: segment arithmetic lands within a trial or two, and the
+  // walk over the materialized trials settles the rest.
+  std::size_t seg = 0;
+  while (seg + 1 < plan_.size() && dm >= plan_[seg + 1].dm_begin) ++seg;
+  const std::size_t first = segment_first_index_[seg];
+  const std::size_t end = seg + 1 < plan_.size()
+                              ? segment_first_index_[seg + 1]
+                              : trials_.size();
+  const double steps =
+      std::ceil((dm - plan_[seg].dm_begin) / plan_[seg].step);
+  std::size_t hi = first + static_cast<std::size_t>(std::clamp(
+                               steps, 0.0, static_cast<double>(end - first)));
+  while (hi > 0 && trials_[hi - 1] >= dm) --hi;
+  while (hi < trials_.size() && trials_[hi] < dm) ++hi;
+  const std::size_t lo = hi - 1;  // trials_.front() < dm <= trials_.back()
   return (dm - trials_[lo] <= trials_[hi] - dm) ? lo : hi;
 }
 

@@ -6,20 +6,11 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "util/csv.hpp"
+
 namespace drapid {
 
 namespace {
-
-/// Shortest-of-17-significant-digits formatting, matching what an
-/// ostringstream with precision(17) (i.e. printf %.17g) produces — existing
-/// persisted keys keep their exact spelling, and 17 digits round-trips any
-/// double exactly.
-void append_double(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v,
-                                 std::chars_format::general, 17);
-  out.append(buf, res.ptr);
-}
 
 [[noreturn]] void malformed(const std::string& key) {
   throw std::runtime_error("malformed observation key: " + key);
@@ -60,11 +51,13 @@ std::string ObservationId::key() const {
   std::string out = dataset;
   out.reserve(out.size() + 80);
   out.push_back('|');
-  append_double(out, mjd);
+  // %.17g, as the survey files spell these fields: existing persisted keys
+  // keep their exact spelling, and 17 digits round-trips any double.
+  append_double(out, mjd, 17);
   out.push_back('|');
-  append_double(out, ra_deg);
+  append_double(out, ra_deg, 17);
   out.push_back('|');
-  append_double(out, dec_deg);
+  append_double(out, dec_deg, 17);
   out.push_back('|');
   char buf[16];
   const auto res = std::to_chars(buf, buf + sizeof(buf), beam);

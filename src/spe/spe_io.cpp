@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <locale>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -10,13 +11,6 @@
 namespace drapid {
 
 namespace {
-
-std::string fmt(double v, int precision = 6) {
-  std::ostringstream out;
-  out.precision(precision);
-  out << v;
-  return out.str();
-}
 
 std::ifstream open_input(const std::string& path) {
   std::ifstream in(path);
@@ -36,8 +30,9 @@ void write_singlepulse(std::ostream& out,
                        const std::vector<SinglePulseEvent>& events) {
   out << "# DM      Sigma      Time (s)     Sample    Downfact\n";
   for (const auto& e : events) {
-    out << fmt(e.dm) << ' ' << fmt(e.snr) << ' ' << fmt(e.time_s, 9) << ' '
-        << e.sample << ' ' << e.downfact << '\n';
+    out << format_double(e.dm) << ' ' << format_double(e.snr) << ' '
+        << format_double(e.time_s, 9) << ' ' << std::to_string(e.sample) << ' '
+        << std::to_string(e.downfact) << '\n';
   }
 }
 
@@ -47,6 +42,7 @@ std::vector<SinglePulseEvent> read_singlepulse(std::istream& in) {
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream row(line);
+    row.imbue(std::locale::classic());  // PRESTO files always use '.'
     SinglePulseEvent e;
     if (!(row >> e.dm >> e.snr >> e.time_s >> e.sample >> e.downfact)) {
       throw std::runtime_error("malformed .singlepulse row: " + line);
@@ -60,10 +56,16 @@ const char kDataFileHeader[] =
     "dataset,mjd,ra_deg,dec_deg,beam,dm,snr,time_s,sample,downfact";
 
 CsvRow format_data_row(const ObservationId& obs, const SinglePulseEvent& spe) {
-  return CsvRow{obs.dataset,       fmt(obs.mjd, 17),  fmt(obs.ra_deg, 17),
-                fmt(obs.dec_deg, 17), std::to_string(obs.beam),
-                fmt(spe.dm),       fmt(spe.snr),      fmt(spe.time_s, 9),
-                std::to_string(spe.sample), std::to_string(spe.downfact)};
+  return CsvRow{obs.dataset,
+                format_double(obs.mjd, 17),
+                format_double(obs.ra_deg, 17),
+                format_double(obs.dec_deg, 17),
+                std::to_string(obs.beam),
+                format_double(spe.dm),
+                format_double(spe.snr),
+                format_double(spe.time_s, 9),
+                std::to_string(spe.sample),
+                std::to_string(spe.downfact)};
 }
 
 void parse_data_row(const CsvRow& row, ObservationId& obs,
@@ -133,17 +135,17 @@ const char kClusterFileHeader[] =
 
 CsvRow format_cluster_row(const ClusterRecord& rec) {
   return CsvRow{rec.obs.dataset,
-                fmt(rec.obs.mjd, 17),
-                fmt(rec.obs.ra_deg, 17),
-                fmt(rec.obs.dec_deg, 17),
+                format_double(rec.obs.mjd, 17),
+                format_double(rec.obs.ra_deg, 17),
+                format_double(rec.obs.dec_deg, 17),
                 std::to_string(rec.obs.beam),
                 std::to_string(rec.cluster_id),
                 std::to_string(rec.num_spes),
-                fmt(rec.dm_min),
-                fmt(rec.dm_max),
-                fmt(rec.time_min, 9),
-                fmt(rec.time_max, 9),
-                fmt(rec.snr_max),
+                format_double(rec.dm_min),
+                format_double(rec.dm_max),
+                format_double(rec.time_min, 9),
+                format_double(rec.time_max, 9),
+                format_double(rec.snr_max),
                 std::to_string(rec.rank)};
 }
 

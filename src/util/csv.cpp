@@ -57,13 +57,39 @@ std::vector<CsvRow> read_csv_file(const std::string& path, char delim,
   return read_csv(in, delim, skip_comments);
 }
 
-std::string format_csv_row(const CsvRow& row, char delim) {
+void append_double(std::string& out, double v, int precision) {
+  if (precision > 17) {
+    throw std::invalid_argument("append_double: precision above 17");
+  }
+  // Longest %.17g spelling: sign, 17 digits, point, "e-308" — or, in the
+  // fixed branch, sign, "0.000" and 17 digits.
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, precision);
+  out.append(buf, res.ptr);
+}
+
+std::string format_double(double v, int precision) {
   std::string out;
+  append_double(out, v, precision);
+  return out;
+}
+
+std::string format_csv_row(const CsvRow& row, char delim) {
+  std::size_t length = row.empty() ? 0 : row.size() - 1;
+  for (const auto& f : row) length += f.size();
+  std::string out;
+  out.reserve(length);
   for (std::size_t i = 0; i < row.size(); ++i) {
     if (i) out.push_back(delim);
     const std::string& f = row[i];
-    const bool needs_quote =
-        f.find(delim) != std::string::npos || f.find('"') != std::string::npos;
+    bool needs_quote = false;
+    for (const char c : f) {
+      if (c == delim || c == '"') {
+        needs_quote = true;
+        break;
+      }
+    }
     if (!needs_quote) {
       out += f;
       continue;

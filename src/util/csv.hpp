@@ -31,6 +31,17 @@ std::vector<CsvRow> read_csv(std::istream& in, char delim = ',',
 std::vector<CsvRow> read_csv_file(const std::string& path, char delim = ',',
                                   bool skip_comments = true);
 
+/// Appends `v` spelled exactly as printf("%.*g", precision, v) spells it in
+/// the "C" locale — which is also what a classic-locale ostream with
+/// precision(`precision`) writes — whatever the global locale is. Every
+/// survey file writes its numbers through this one formatter, so a
+/// decimal-comma locale cannot leak a ',' into a CSV field. Precision 17
+/// round-trips any double; precisions above 17 throw std::invalid_argument.
+void append_double(std::string& out, double v, int precision = 6);
+
+/// format_double(v, p) == the string append_double(out, v, p) appends.
+std::string format_double(double v, int precision = 6);
+
 /// Serializes a row, quoting fields that contain the delimiter or quotes.
 std::string format_csv_row(const CsvRow& row, char delim = ',');
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "synth/survey.hpp"
 #include "util/rng.hpp"
@@ -124,6 +126,72 @@ TEST(Dbscan, DmSpacingAwareNeighbourhoodClustersCoarseGridPulse) {
   const auto result = dbscan_cluster(obs, grid, {});
   ASSERT_EQ(result.clusters.size(), 1u);
   EXPECT_EQ(result.clusters[0].members.size(), 10u);
+}
+
+// Invalid neighbourhoods are rejected up front, even for an empty
+// observation, instead of silently labelling everything noise.
+void expect_rejected(const DbscanParams& params) {
+  const auto obs = make_obs({spe(10.0, 1.0), spe(10.1, 1.0), spe(10.2, 1.0)});
+  EXPECT_THROW(dbscan_cluster(obs, fine_grid(), params), std::invalid_argument);
+  EXPECT_THROW(dbscan_cluster(make_obs({}), fine_grid(), params),
+               std::invalid_argument);
+}
+
+DbscanParams with_eps_time(double eps) {
+  DbscanParams params;
+  params.eps_time_s = eps;
+  return params;
+}
+
+DbscanParams with_eps_dm(double eps) {
+  DbscanParams params;
+  params.eps_dm_trials = eps;
+  return params;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(DbscanParamsValidation, RejectsZeroEpsTime) {
+  expect_rejected(with_eps_time(0.0));
+}
+TEST(DbscanParamsValidation, RejectsNegativeEpsTime) {
+  expect_rejected(with_eps_time(-0.05));
+}
+TEST(DbscanParamsValidation, RejectsNaNEpsTime) {
+  expect_rejected(with_eps_time(kNaN));
+}
+TEST(DbscanParamsValidation, RejectsInfiniteEpsTime) {
+  expect_rejected(with_eps_time(kInf));
+}
+TEST(DbscanParamsValidation, RejectsZeroEpsDm) {
+  expect_rejected(with_eps_dm(0.0));
+}
+TEST(DbscanParamsValidation, RejectsNegativeEpsDm) {
+  expect_rejected(with_eps_dm(-6.0));
+}
+TEST(DbscanParamsValidation, RejectsNaNEpsDm) {
+  expect_rejected(with_eps_dm(kNaN));
+}
+TEST(DbscanParamsValidation, RejectsInfiniteEpsDm) {
+  expect_rejected(with_eps_dm(kInf));
+}
+TEST(DbscanParamsValidation, RejectsZeroMinPts) {
+  DbscanParams params;
+  params.min_pts = 0;
+  expect_rejected(params);
+}
+
+TEST(DbscanParamsValidation, AcceptsTinyPositiveEps) {
+  // The smallest valid neighbourhood: only the point itself, so min_pts 1
+  // makes every event its own cluster.
+  DbscanParams params;
+  params.eps_time_s = 1e-300;
+  params.eps_dm_trials = 1e-300;
+  params.min_pts = 1;
+  params.merge_fragments = false;
+  const auto obs = make_obs({spe(10.0, 1.0), spe(10.1, 1.0), spe(10.2, 1.0)});
+  EXPECT_EQ(dbscan_cluster(obs, fine_grid(), params).clusters.size(), 3u);
 }
 
 TEST(ClusterRecords, BoundingBoxAndRank) {

@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "clustering/dbscan.hpp"
+#include "dbscan_reference.hpp"
 #include "util/rng.hpp"
 
 namespace drapid {
@@ -140,6 +143,96 @@ TEST_P(DbscanProperties, RecordsMatchMembership) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DbscanProperties,
                          ::testing::Values(1, 7, 42, 99, 1234));
+
+// --- Exact equality with the time-window-scan reference --------------------
+
+/// Interference columns: bursts of events at one sample across runs of
+/// consecutive DM trials (what zero-DM leftovers and noise false alarms
+/// look like after the sweep), over a scattered background.
+ObservationData column_observation(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  ObservationData obs;
+  obs.id.dataset = "COLUMN";
+  while (obs.events.size() < n) {
+    const double t = 0.001 * static_cast<double>(rng.below(50000));
+    if (rng.chance(0.3)) {
+      SinglePulseEvent e;
+      e.dm = rng.uniform(0.0, 100.0);
+      e.time_s = t;
+      e.snr = 5.0 + rng.exponential(1.0);
+      obs.events.push_back(e);
+      continue;
+    }
+    const auto first = rng.below(900);
+    const auto height = 1 + rng.below(150);
+    for (std::uint64_t k = first; k < first + height && obs.events.size() < n;
+         ++k) {
+      if (rng.chance(0.1)) continue;  // holes split the column
+      SinglePulseEvent e;
+      e.dm = 0.1 * static_cast<double>(k);
+      e.time_s = t + (rng.chance(0.2) ? 0.001 : 0.0);
+      e.snr = 5.0 + rng.exponential(1.0);
+      obs.events.push_back(e);
+    }
+  }
+  return obs;
+}
+
+/// Many events sharing each time value: times on a coarse 10 ms grid.
+ObservationData tied_observation(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  ObservationData obs = random_observation(seed ^ 0x71e5, n);
+  for (auto& e : obs.events) {
+    e.time_s = 0.01 * static_cast<double>(rng.below(400));
+  }
+  return obs;
+}
+
+void expect_same_clustering(const ClusteringResult& got,
+                            const ClusteringResult& want,
+                            const std::string& context) {
+  ASSERT_EQ(got.labels, want.labels) << context;
+  ASSERT_EQ(got.clusters.size(), want.clusters.size()) << context;
+  for (std::size_t c = 0; c < want.clusters.size(); ++c) {
+    EXPECT_EQ(got.clusters[c].id, want.clusters[c].id) << context;
+    EXPECT_EQ(got.clusters[c].members, want.clusters[c].members) << context;
+  }
+}
+
+class DbscanOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DbscanOracle, MatchesTimeWindowScanExactly) {
+  const std::uint64_t seed = GetParam();
+  const DmGrid grid({{0.0, 100.0, 0.1}});
+  const std::vector<std::pair<std::string, ObservationData>> inputs = {
+      {"columns", column_observation(seed, 3000)},
+      {"mixture", random_observation(seed, 1500)},
+      {"tied", tied_observation(seed, 1500)},
+  };
+  std::vector<DbscanParams> variants(8);
+  variants[1].eps_dm_trials = 2.5;
+  variants[2].eps_dm_trials = 0.7;
+  variants[3].eps_dm_trials = 1e-3;
+  variants[4].eps_dm_trials = 1e-12;
+  variants[5].eps_dm_trials = 13.0 / 3.0;
+  variants[5].eps_time_s = 0.0123;
+  variants[6].min_pts = 1;
+  variants[6].merge_fragments = false;
+  variants[7].min_pts = 8;
+  variants[7].eps_time_s = 0.002;
+  for (const auto& [name, obs] : inputs) {
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      expect_same_clustering(
+          dbscan_cluster(obs, grid, variants[v]),
+          reference_dbscan(obs, grid, variants[v]),
+          name + " seed " + std::to_string(seed) + " variant " +
+              std::to_string(v));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DbscanOracle,
+                         ::testing::Values(1, 2, 3, 17, 42, 99, 1234, 5150));
 
 }  // namespace
 }  // namespace drapid

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace drapid {
 namespace {
@@ -34,6 +38,50 @@ TEST(DmGrid, IndexOfFindsNearestTrial) {
   // Clamped at the ends.
   EXPECT_EQ(grid.index_of(-5.0), 0u);
   EXPECT_EQ(grid.index_of(99.0), grid.size() - 1);
+}
+
+/// Nearest trial by binary search over the materialized trials.
+std::size_t reference_index_of(const DmGrid& grid, double dm) {
+  const auto& trials = grid.trials();
+  const auto it = std::lower_bound(trials.begin(), trials.end(), dm);
+  if (it == trials.begin()) return 0;
+  if (it == trials.end()) return trials.size() - 1;
+  const auto hi = static_cast<std::size_t>(it - trials.begin());
+  return (dm - trials[hi - 1] <= trials[hi] - dm) ? hi - 1 : hi;
+}
+
+TEST(DmGrid, IndexOfMatchesBinarySearchEverywhere) {
+  const DmGrid uneven({{0.0, 1.0, 0.3}, {1.0, 2.05, 0.07}, {2.05, 9.0, 1.1}});
+  const std::vector<DmGrid> grids = {
+      DmGrid::gbt350drift(), DmGrid::palfa(),  DmGrid::fast_crafts(),
+      DmGrid::ska_mid(),     uneven,           DmGrid::ska_mid().prefix(31.0),
+      uneven.prefix(1.5)};
+  Rng rng(11);
+  for (const DmGrid& grid : grids) {
+    std::vector<double> probes = {
+        -1.0, -0.0, std::nextafter(grid.max_dm(), 1e9), grid.max_dm() + 5.0,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    for (const auto& seg : grid.plan()) {
+      probes.push_back(seg.dm_begin);
+      probes.push_back(std::nextafter(seg.dm_begin, -1e9));
+      probes.push_back(seg.dm_end);
+    }
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const double dm = grid.dm_at(i);
+      probes.push_back(dm);
+      probes.push_back(std::nextafter(dm, -1e9));
+      probes.push_back(std::nextafter(dm, 1e9));
+      if (i + 1 < grid.size()) probes.push_back(0.5 * (dm + grid.dm_at(i + 1)));
+    }
+    for (int k = 0; k < 20000; ++k) {
+      probes.push_back(rng.uniform(-10.0, grid.max_dm() + 10.0));
+    }
+    for (const double dm : probes) {
+      ASSERT_EQ(grid.index_of(dm), reference_index_of(grid, dm)) << "dm=" << dm;
+    }
+  }
 }
 
 TEST(DmGrid, SpacingMatchesPaperEnvelope) {
