@@ -166,16 +166,18 @@ MitigationReport apply_rfi_mitigation(Filterbank& fb,
   auto& tracer = obs::global_tracer();
   obs::ScopedSpan span(tracer, "dedisp.rfi.mitigate",
                        mitigation_policy_name(params.policy), "dedisp");
-  if (policy_masks_channels(params.policy)) {
-    if (mask.empty()) mask = estimate_channel_mask(fb, params);
+  if (policy_masks_channels(params.policy) && mask.empty()) {
+    mask = estimate_channel_mask(fb, params);
+  }
+  // An explicit mask excludes its channels under every policy — zero-DM
+  // only included — exactly as the streaming sweep honours it.
+  if (!mask.empty()) {
     if (mask.size() != fb.num_channels()) {
       throw std::invalid_argument(
           "rfi mitigation: channel mask has " + std::to_string(mask.size()) +
           " entries for " + std::to_string(fb.num_channels()) + " channels");
     }
     for (std::uint8_t m : mask) report.channels_masked += m != 0 ? 1 : 0;
-  } else {
-    mask.clear();
   }
   if (policy_zero_dm(params.policy)) {
     zero_dm_subtract(fb.channel_data(0), fb.num_samples(), fb.num_channels(),

@@ -82,9 +82,11 @@ struct MitigationReport {
 };
 
 /// Applies `params` to `fb` in place: resolves the channel mask (estimating
-/// it unless `mask` already carries one) and runs zero-DM subtraction over
-/// the unmasked channels when the policy asks for it. On return `mask` holds
-/// the resolved per-channel mask (empty when the policy does not mask).
+/// it when the policy masks and `mask` is empty) and runs zero-DM
+/// subtraction over the unmasked channels when the policy asks for it. An
+/// explicit `mask` is kept under every policy, zero-DM only included. On
+/// return `mask` holds the resolved per-channel mask (empty when the policy
+/// does not mask and none was given; cleared under kOff).
 MitigationReport apply_rfi_mitigation(Filterbank& fb,
                                       const RfiMitigationParams& params,
                                       std::vector<std::uint8_t>& mask);

@@ -84,9 +84,12 @@ SweepPlan build_sweep_plan(const Filterbank& fb, const DmGrid& grid,
 struct DedispScratch {
   std::vector<double> series;
   std::vector<std::uint32_t> contrib_prefix;
-  /// Subband partial-series arena: the worker's block-distinct coarse nodes,
-  /// one num_samples-long stripe each (unused by the exact method).
-  std::vector<double> group_series;
+  /// Subband stage-2 buffers (unused by the exact method): the plan's G
+  /// node pointers, its distinct coverage cuts, and one segment's active
+  /// node pointers.
+  std::vector<const double*> nodes;
+  std::vector<std::size_t> cuts;
+  std::vector<const double*> segment;
 };
 
 /// Dedisperses one shift plan into scratch.series (resized to

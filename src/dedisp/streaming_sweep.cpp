@@ -231,28 +231,18 @@ std::vector<SinglePulseEvent> StreamingSweep::finalize() {
   obs::ScopedSpan span(tracer, "dedisp.stream.finalize", {}, "dedisp");
   std::vector<std::vector<SinglePulseEvent>> found(sweep_.plans.size());
   if (subband()) {
-    const std::size_t num_groups = sub_.groups.size();
+    // Stage 2 + tail normalization + detection per plan through the same
+    // helper as subband_single_pulse_search(), so the synthesized series
+    // are byte-identical to the one-shot sweep's. Partials are shared
+    // across plans and stay resident until every plan is detected.
+    std::vector<const double*> node_series(partials_.size());
+    for (std::size_t i = 0; i < partials_.size(); ++i) {
+      node_series[i] = partials_[i].data();
+    }
     for_each(sweep_.plans.size(), [&](std::size_t i) {
-      // Stage 2 + tail normalization + detection per plan. Partials are
-      // shared across plans, so the synthesized series lives in reusable
-      // per-worker scratch and the partials stay resident until the loop
-      // ends. Byte-identical to subband_single_pulse_search(): same
-      // combine, same normalization, same detection.
-      thread_local std::vector<const double*> node_ptrs;
-      thread_local std::vector<double> series;
-      thread_local std::vector<std::uint32_t> contrib_prefix;
-      thread_local DetectScratch detect_scratch;
-      node_ptrs.resize(num_groups);
-      for (std::size_t g = 0; g < num_groups; ++g) {
-        node_ptrs[g] =
-            partials_[sub_.pattern_base[g] + sub_.entry(i, g).pattern].data();
-      }
-      combine_subband_series(sub_, i, node_ptrs.data(), total_samples_,
-                             series);
-      normalize_tail(sweep_.plans[i], channels_, series, contrib_prefix);
-      detect_events_into(series, grid_.dm_at(sweep_.plans[i].trials.front()),
-                         config_.sample_time_ms, params_, detect_scratch,
-                         found[i]);
+      detail::detect_subband_plan(sweep_, sub_, i, node_series.data(),
+                                  total_samples_, channels_, grid_,
+                                  config_.sample_time_ms, params_, found[i]);
     });
     partials_.clear();
     partials_.shrink_to_fit();

@@ -1,16 +1,14 @@
 #include "dedisp/subband_sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
-#include <string>
+#include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "dedisp/kernels.hpp"
 #include "dedisp/rfi_mitigation.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "util/flat_hash.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -18,85 +16,134 @@ namespace drapid {
 
 namespace {
 
-std::vector<SubbandGroup> make_groups(std::size_t channels,
-                                      std::size_t num_groups) {
-  std::vector<SubbandGroup> groups(num_groups);
+/// Group g of `num_groups` near-equal contiguous channel ranges (the first
+/// channels % num_groups groups take one extra channel).
+SubbandGroup group_at(std::size_t channels, std::size_t num_groups,
+                      std::size_t g) {
   const std::size_t base = channels / num_groups;
   const std::size_t extra = channels % num_groups;
-  std::uint32_t at = 0;
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    const std::size_t size = base + (g < extra ? 1 : 0);
-    groups[g].begin = at;
-    groups[g].end = at + static_cast<std::uint32_t>(size);
-    at = groups[g].end;
-  }
-  return groups;
+  SubbandGroup group;
+  group.begin = static_cast<std::uint32_t>(g * base + std::min(g, extra));
+  group.end = group.begin +
+              static_cast<std::uint32_t>(base + (g < extra ? 1 : 0));
+  return group;
 }
+
+/// Dedups one group's residual windows across every plan without building
+/// them: each window is hashed in place off the plan's shift vector, and a
+/// hash match is confirmed element by element against the first plan that
+/// produced the window, so pattern ids and counts are exact whatever the
+/// hash does. One open-addressing table, sized once from the plan count,
+/// serves every group of every probed G; a per-group stamp retires the
+/// previous group's slots without clearing them.
+class ResidualIndex {
+ public:
+  ResidualIndex(const SweepPlan& sweep, std::size_t num_samples)
+      : sweep_(sweep), clamp_(static_cast<std::uint32_t>(num_samples)) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * sweep.plans.size()) capacity <<= 1;
+    slots_.resize(capacity);
+    mask_ = capacity - 1;
+  }
+
+  /// Calls fn(plan, pattern, base, fresh) for every plan in order, where
+  /// `pattern` numbers the group's distinct windows in first-use order and
+  /// `base` is the plan's min shift over the group; returns the count.
+  template <typename Fn>
+  std::uint32_t index(const SubbandGroup& group, Fn&& fn) {
+    ++stamp_;
+    std::uint32_t count = 0;
+    const std::size_t len = group.size();
+    for (std::size_t p = 0; p < sweep_.plans.size(); ++p) {
+      const std::uint32_t* shifts = sweep_.plans[p].shifts.data() + group.begin;
+      std::uint32_t base = clamp_;
+      for (std::size_t i = 0; i < len; ++i) base = std::min(base, shifts[i]);
+      std::uint64_t h = 0x9E3779B97F4A7C15ull;
+      for (std::size_t i = 0; i < len; ++i) {
+        h = ((h << 5) | (h >> 59)) ^ (shifts[i] - base);
+        h *= 0xFF51AFD7ED558CCDull;
+      }
+      h ^= h >> 32;
+      for (std::size_t at = h & mask_;; at = (at + 1) & mask_) {
+        Slot& slot = slots_[at];
+        if (slot.stamp != stamp_) {
+          slot = {h, stamp_, static_cast<std::uint32_t>(p), base, count};
+          fn(p, count++, base, true);
+          break;
+        }
+        if (slot.hash == h && same_window(group, slot, shifts, base)) {
+          fn(p, slot.pattern, base, false);
+          break;
+        }
+      }
+    }
+    return count;
+  }
+
+  /// The count-only probe: index() with nothing recorded.
+  std::uint32_t count(const SubbandGroup& group) {
+    return index(group, [](std::size_t, std::uint32_t, std::uint32_t, bool) {});
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t stamp = 0;
+    std::uint32_t plan = 0;  ///< representative: first plan with the window
+    std::uint32_t base = 0;  ///< the representative's group base shift
+    std::uint32_t pattern = 0;
+  };
+
+  bool same_window(const SubbandGroup& group, const Slot& slot,
+                   const std::uint32_t* shifts, std::uint32_t base) const {
+    const std::uint32_t* rep =
+        sweep_.plans[slot.plan].shifts.data() + group.begin;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      if (shifts[i] - base != rep[i] - slot.base) return false;
+    }
+    return true;
+  }
+
+  const SweepPlan& sweep_;
+  std::uint32_t clamp_;
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::uint32_t stamp_ = 0;
+};
 
 SubbandPlan decompose(const SweepPlan& sweep, std::size_t channels,
                       std::size_t num_samples, std::size_t num_groups) {
   SubbandPlan sub;
   sub.num_plans = sweep.plans.size();
-  sub.groups = make_groups(channels, num_groups);
+  sub.groups.resize(num_groups);
   sub.patterns.resize(num_groups);
   sub.entries.resize(sub.num_plans * num_groups);
-  const auto clamp = static_cast<std::uint32_t>(num_samples);
-
-  // Per-group dedup of residual vectors, keyed on raw bytes like
-  // build_sweep_plan's shift-vector dedup.
-  std::vector<FlatHashMap<std::string, std::uint32_t>> index(num_groups);
-  std::string key;
-  std::vector<std::uint32_t> residuals;
-  for (std::size_t p = 0; p < sub.num_plans; ++p) {
-    const auto& shifts = sweep.plans[p].shifts;
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      const SubbandGroup& group = sub.groups[g];
-      std::uint32_t base = clamp;
-      for (std::uint32_t c = group.begin; c < group.end; ++c) {
-        base = std::min(base, shifts[c]);
-      }
-      residuals.resize(group.size());
-      for (std::uint32_t c = group.begin; c < group.end; ++c) {
+  sub.pattern_base.resize(num_groups + 1);
+  ResidualIndex index(sweep, num_samples);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    const SubbandGroup group = group_at(channels, num_groups, g);
+    sub.groups[g] = group;
+    index.index(group, [&](std::size_t p, std::uint32_t pattern,
+                           std::uint32_t base, bool fresh) {
+      if (fresh) {
         // base is the group's min shift, so residuals never underflow; a
         // residual at the clamp value contributes nothing, matching the
         // clamped full shift exactly.
-        const std::uint32_t r = shifts[c] - base;
-        residuals[c - group.begin] = r;
-        sub.max_residual = std::max(sub.max_residual, r);
+        SubbandPattern residuals;
+        residuals.residuals.resize(group.size());
+        for (std::uint32_t c = group.begin; c < group.end; ++c) {
+          const std::uint32_t r = sweep.plans[p].shifts[c] - base;
+          residuals.residuals[c - group.begin] = r;
+          sub.max_residual = std::max(sub.max_residual, r);
+        }
+        sub.patterns[g].push_back(std::move(residuals));
       }
-      key.assign(reinterpret_cast<const char*>(residuals.data()),
-                 residuals.size() * sizeof(std::uint32_t));
-      auto [entry, inserted] = index[g].try_emplace(
-          key, static_cast<std::uint32_t>(sub.patterns[g].size()));
-      if (inserted) {
-        sub.patterns[g].push_back(SubbandPattern{residuals});
-      }
-      sub.entries[p * num_groups + g] = {entry->second, base};
-    }
-  }
-  sub.pattern_base.resize(num_groups + 1);
-  sub.pattern_base[0] = 0;
-  for (std::size_t g = 0; g < num_groups; ++g) {
+      sub.entries[p * num_groups + g] = {pattern, base};
+    });
     sub.pattern_base[g + 1] = sub.pattern_base[g] + sub.patterns[g].size();
   }
   sub.total_patterns = sub.pattern_base[num_groups];
   return sub;
-}
-
-/// Bytes touched per output sample: a stage-1 channel row costs a float
-/// read plus a double read-modify-write (20 B); a plan's stage-2 fused
-/// combine reads G doubles and writes one (8G + 16 B with the write and
-/// float-rounding slop amortized).
-double plan_cost(const SubbandPlan& sub) {
-  double stage1 = 0.0;
-  for (std::size_t g = 0; g < sub.groups.size(); ++g) {
-    stage1 += 20.0 * static_cast<double>(sub.patterns[g].size()) *
-              static_cast<double>(sub.groups[g].size());
-  }
-  const double stage2 =
-      static_cast<double>(sub.num_plans) *
-      (8.0 * static_cast<double>(sub.groups.size()) + 16.0);
-  return stage1 + stage2;
 }
 
 }  // namespace
@@ -113,25 +160,52 @@ SubbandPlan build_subband_plan(const SweepPlan& sweep, std::size_t channels,
     return decompose(sweep, channels, num_samples,
                      std::min(groups, channels));
   }
-  // Auto: evaluate a short ladder of candidate group counts and keep the
-  // cost-model argmin. Each probe is one hashing pass over plans × channels
-  // — negligible next to the sweep itself.
-  SubbandPlan best;
+  // Auto: the cost-model argmin over the ladder (first minimum wins). The
+  // model is bytes touched per output sample: a stage-1 channel row costs a
+  // float read plus a double read-modify-write (20 B); a plan's stage-2
+  // fused combine reads G doubles and writes one (8G + 16 B with the write
+  // and float-rounding slop amortized). It needs only pattern counts, so
+  // every candidate is a count-only probe and only the winner is
+  // decomposed.
+  ResidualIndex index(sweep, num_samples);
+  std::size_t best_groups = 0;
   double best_cost = 0.0;
-  for (std::size_t g : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                        std::size_t{6}, std::size_t{8}, std::size_t{12},
-                        std::size_t{16}, std::size_t{24}, std::size_t{32},
-                        std::size_t{48}, std::size_t{64}}) {
-    if (g > channels) break;
-    SubbandPlan candidate = decompose(sweep, channels, num_samples, g);
-    const double cost = plan_cost(candidate);
-    if (best.groups.empty() || cost < best_cost) {
+  for (const std::size_t num_groups : detail::kSubbandGroupLadder) {
+    if (num_groups > channels) break;
+    double stage1 = 0.0;
+    for (std::size_t g = 0; g < num_groups; ++g) {
+      const SubbandGroup group = group_at(channels, num_groups, g);
+      stage1 += 20.0 * static_cast<double>(index.count(group)) *
+                static_cast<double>(group.size());
+    }
+    const double stage2 = static_cast<double>(sweep.plans.size()) *
+                          (8.0 * static_cast<double>(num_groups) + 16.0);
+    const double cost = stage1 + stage2;
+    if (best_groups == 0 || cost < best_cost) {
       best_cost = cost;
-      best = std::move(candidate);
+      best_groups = num_groups;
     }
   }
-  return best;
+  return decompose(sweep, channels, num_samples, best_groups);
 }
+
+namespace detail {
+
+std::size_t count_subband_patterns(const SweepPlan& sweep,
+                                   std::size_t channels,
+                                   std::size_t num_samples,
+                                   std::size_t groups) {
+  if (channels == 0) return 0;
+  const std::size_t num_groups = std::clamp<std::size_t>(groups, 1, channels);
+  ResidualIndex index(sweep, num_samples);
+  std::size_t total = 0;
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    total += index.count(group_at(channels, num_groups, g));
+  }
+  return total;
+}
+
+}  // namespace detail
 
 void accumulate_subband_partial(const Filterbank& fb,
                                 const SubbandGroup& group,
@@ -147,7 +221,8 @@ void accumulate_subband_partial(const Filterbank& fb,
 
 void combine_subband_series(const SubbandPlan& sub, std::size_t plan_index,
                             const double* const* partials, std::size_t n,
-                            std::vector<double>& series) {
+                            DedispScratch& scratch) {
+  auto& series = scratch.series;
   series.resize(n);
   const std::size_t num_groups = sub.groups.size();
   // Group g covers output samples [0, n - offset_g); past that its partial
@@ -155,92 +230,116 @@ void combine_subband_series(const SubbandPlan& sub, std::size_t plan_index,
   // gives segments with a constant active-group set, each combined in one
   // fused pass (ascending group order, like the exact sweep's ascending
   // channel order).
-  constexpr std::size_t kMaxStack = 64;
-  const double* ptr_stack[kMaxStack];
-  std::size_t limit_stack[kMaxStack];
-  std::vector<const double*> ptr_heap;
-  std::vector<std::size_t> limit_heap;
-  const double** ptrs = ptr_stack;
-  std::size_t* limits = limit_stack;
-  if (num_groups > kMaxStack) {
-    ptr_heap.resize(num_groups);
-    limit_heap.resize(num_groups);
-    ptrs = ptr_heap.data();
-    limits = limit_heap.data();
-  }
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    const SubbandEntry& e = sub.entry(plan_index, g);
-    const std::size_t offset = e.offset;
-    limits[g] = offset < n ? n - offset : 0;
-    ptrs[g] = partials[g] + offset;
-  }
-  std::vector<std::size_t> cuts(limits, limits + num_groups);
+  const auto limit = [&](std::size_t g) -> std::size_t {
+    const std::size_t offset = sub.entry(plan_index, g).offset;
+    return offset < n ? n - offset : 0;
+  };
+  auto& cuts = scratch.cuts;
+  cuts.resize(num_groups);
+  for (std::size_t g = 0; g < num_groups; ++g) cuts[g] = limit(g);
   std::sort(cuts.begin(), cuts.end());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
-  const double* seg_ptrs_stack[kMaxStack];
-  std::vector<const double*> seg_ptrs_heap;
-  const double** seg_ptrs = seg_ptrs_stack;
-  if (num_groups > kMaxStack) {
-    seg_ptrs_heap.resize(num_groups);
-    seg_ptrs = seg_ptrs_heap.data();
-  }
+  auto& segment = scratch.segment;
+  segment.resize(num_groups);
   std::size_t s = 0;
   for (const std::size_t cut : cuts) {
     if (cut <= s) continue;
     std::size_t active = 0;
     for (std::size_t g = 0; g < num_groups; ++g) {
-      if (limits[g] >= cut) seg_ptrs[active++] = ptrs[g] + s;
+      if (limit(g) >= cut) {
+        segment[active++] = partials[g] + sub.entry(plan_index, g).offset + s;
+      }
     }
-    kernels::combine_f64(series.data() + s, seg_ptrs, active, cut - s);
+    kernels::combine_f64(series.data() + s, segment.data(), active, cut - s);
     s = cut;
   }
   if (s < n) std::fill(series.begin() + static_cast<long>(s), series.end(), 0.0);
 }
+
+namespace {
+
+constexpr std::size_t kArenaBudgetBytes = std::size_t{256} << 20;
+
+/// The calling thread's stage-1 arena, process-lifetime: it grows to the
+/// largest block seen and never shrinks, so a survey's repeated sweeps do
+/// not mmap, zero-fill and unmap a 100 MB buffer each. It is never
+/// value-initialised — accumulate_subband_partial overwrites every stripe
+/// it is handed.
+double* node_arena(std::size_t doubles) {
+  thread_local std::unique_ptr<double[]> arena;
+  thread_local std::size_t capacity = 0;
+  if (doubles > capacity) {
+    arena.reset();
+    arena = std::make_unique_for_overwrite<double[]>(doubles);
+    capacity = doubles;
+  }
+  return arena.get();
+}
+
+/// Group index of a flat node id.
+std::size_t group_of(const SubbandPlan& sub, std::size_t flat) {
+  return static_cast<std::size_t>(
+      std::upper_bound(sub.pattern_base.begin(), sub.pattern_base.end(),
+                       flat) -
+      sub.pattern_base.begin() - 1);
+}
+
+}  // namespace
 
 void subband_series(const Filterbank& fb, const SweepPlan& sweep,
                     const SubbandPlan& sub, std::size_t plan_index,
                     DedispScratch& scratch) {
   const std::size_t n = fb.num_samples();
   const std::size_t num_groups = sub.groups.size();
-  scratch.group_series.resize(num_groups * n);
-  std::vector<const double*> partials(num_groups);
+  double* arena = node_arena(num_groups * n);
+  scratch.nodes.resize(num_groups);
   for (std::size_t g = 0; g < num_groups; ++g) {
-    double* slot = scratch.group_series.data() + g * n;
+    double* slot = arena + g * n;
     accumulate_subband_partial(
         fb, sub.groups[g],
         sub.patterns[g][sub.entry(plan_index, g).pattern], slot, n);
-    partials[g] = slot;
+    scratch.nodes[g] = slot;
   }
-  combine_subband_series(sub, plan_index, partials.data(), n, scratch.series);
+  combine_subband_series(sub, plan_index, scratch.nodes.data(), n, scratch);
   normalize_tail(sweep.plans[plan_index], fb.num_channels(), scratch.series,
                  scratch.contrib_prefix);
 }
 
-namespace {
+namespace detail {
 
-/// A contiguous run of plans processed by one worker: the block's distinct
-/// coarse nodes are accumulated into the worker's arena once, then each
-/// plan combines + detects. Partials are a deterministic function of the
-/// filterbank and the pattern, so the blocking (and thread count) cannot
-/// change any plan's series.
-struct PlanBlock {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-}  // namespace
+void detect_subband_plan(const SweepPlan& sweep, const SubbandPlan& sub,
+                         std::size_t plan_index,
+                         const double* const* node_series, std::size_t n,
+                         std::size_t channels, const DmGrid& grid,
+                         double sample_time_ms,
+                         const SinglePulseSearchParams& params,
+                         std::vector<SinglePulseEvent>& out) {
+  thread_local DedispScratch dedisp_scratch;
+  thread_local DetectScratch detect_scratch;
+  const std::size_t num_groups = sub.groups.size();
+  auto& node_ptrs = dedisp_scratch.nodes;
+  node_ptrs.resize(num_groups);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    node_ptrs[g] =
+        node_series[sub.pattern_base[g] + sub.entry(plan_index, g).pattern];
+  }
+  combine_subband_series(sub, plan_index, node_ptrs.data(), n,
+                         dedisp_scratch);
+  const ShiftPlan& plan = sweep.plans[plan_index];
+  normalize_tail(plan, channels, dedisp_scratch.series,
+                 dedisp_scratch.contrib_prefix);
+  detect_events_into(dedisp_scratch.series, grid.dm_at(plan.trials.front()),
+                     sample_time_ms, params, detect_scratch, out);
+}
 
 std::vector<SinglePulseEvent> subband_single_pulse_search(
     const Filterbank& fb, const DmGrid& grid,
-    const SinglePulseSearchParams& params) {
+    const SinglePulseSearchParams& params, std::size_t arena_budget_bytes) {
   if (params.rfi.policy != MitigationPolicy::kOff) {
-    // Route direct calls through the mitigation stage too; it re-enters
-    // single_pulse_search with the policy cleared, so pin the method in
-    // case the caller reached here without setting it.
-    SinglePulseSearchParams routed = params;
-    routed.method = SweepMethod::kSubband;
-    return detail::mitigated_single_pulse_search(fb, grid, routed);
+    throw std::invalid_argument(
+        "subband sweep: mitigation is routed by the public entry point; "
+        "the budgeted sweep takes params.rfi.policy = off");
   }
   auto& tracer = obs::global_tracer();
   obs::ScopedSpan sweep_span(tracer, "dedisp.subband.sweep", {}, "dedisp");
@@ -253,97 +352,85 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
   const std::size_t n = fb.num_samples();
   const std::size_t num_groups = sub.groups.size();
   const std::size_t num_plans = sweep.plans.size();
-
-  // Block layout: at least one block per worker, plus enough blocks that a
-  // block's worst-case arena (every distinct node) stays within budget.
   const std::size_t sweep_threads = params.sweep_threads();
-  constexpr std::size_t kArenaBudgetBytes = std::size_t{256} << 20;
-  std::size_t num_blocks = std::max<std::size_t>(1, sweep_threads);
-  if (n > 0 && sub.total_patterns > 0) {
-    const std::size_t arena_bytes = sub.total_patterns * n * sizeof(double);
-    num_blocks = std::max(
-        num_blocks, (arena_bytes + kArenaBudgetBytes - 1) / kArenaBudgetBytes);
-  }
-  num_blocks = std::max<std::size_t>(1, std::min(num_blocks, num_plans));
-  std::vector<PlanBlock> blocks(num_blocks);
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    blocks[b].begin = num_plans * b / num_blocks;
-    blocks[b].end = num_plans * (b + 1) / num_blocks;
-  }
-
-  std::vector<std::vector<SinglePulseEvent>> found(num_plans);
-  std::atomic<std::int64_t> partials_built{0};
-  const auto run_block = [&](std::size_t b) {
-    const PlanBlock& block = blocks[b];
-    if (block.begin >= block.end) return;
-    thread_local DedispScratch dedisp_scratch;
-    thread_local DetectScratch detect_scratch;
-    thread_local std::vector<std::int32_t> slot_of_node;
-    thread_local std::vector<std::uint32_t> node_order;  // flat node ids
-    obs::ScopedSpan span(tracer, "dedisp.subband.block", {}, "dedisp");
-
-    // Which coarse nodes does this block need? First-use order keeps the
-    // arena walk cache-friendly for the combine loop that follows.
-    slot_of_node.assign(sub.total_patterns, -1);
-    node_order.clear();
-    for (std::size_t p = block.begin; p < block.end; ++p) {
-      for (std::size_t g = 0; g < num_groups; ++g) {
-        const std::uint32_t flat = static_cast<std::uint32_t>(
-            sub.pattern_base[g] + sub.entry(p, g).pattern);
-        if (slot_of_node[flat] < 0) {
-          slot_of_node[flat] = static_cast<std::int32_t>(node_order.size());
-          node_order.push_back(flat);
-        }
-      }
-    }
-    // Stage 1: every distinct node once.
-    auto& arena = dedisp_scratch.group_series;
-    arena.resize(node_order.size() * n);
-    for (std::size_t i = 0; i < node_order.size(); ++i) {
-      const std::uint32_t flat = node_order[i];
-      const std::size_t g = static_cast<std::size_t>(
-          std::upper_bound(sub.pattern_base.begin(), sub.pattern_base.end(),
-                           static_cast<std::size_t>(flat)) -
-          sub.pattern_base.begin() - 1);
-      accumulate_subband_partial(fb, sub.groups[g],
-                                 sub.patterns[g][flat - sub.pattern_base[g]],
-                                 arena.data() + i * n, n);
-    }
-    partials_built.fetch_add(static_cast<std::int64_t>(node_order.size()),
-                             std::memory_order_relaxed);
-    // Stage 2 + detection per plan.
-    std::vector<const double*> partials(num_groups);
-    for (std::size_t p = block.begin; p < block.end; ++p) {
-      for (std::size_t g = 0; g < num_groups; ++g) {
-        const std::uint32_t flat = static_cast<std::uint32_t>(
-            sub.pattern_base[g] + sub.entry(p, g).pattern);
-        partials[g] =
-            arena.data() +
-            static_cast<std::size_t>(slot_of_node[flat]) * n;
-      }
-      combine_subband_series(sub, p, partials.data(), n,
-                             dedisp_scratch.series);
-      normalize_tail(sweep.plans[p], fb.num_channels(), dedisp_scratch.series,
-                     dedisp_scratch.contrib_prefix);
-      detect_events_into(dedisp_scratch.series,
-                         grid.dm_at(sweep.plans[p].trials.front()),
-                         fb.config().sample_time_ms, params, detect_scratch,
-                         found[p]);
-    }
-    if (span.active()) {
-      span.arg("plans", static_cast<std::int64_t>(block.end - block.begin));
-      span.arg("nodes", static_cast<std::int64_t>(node_order.size()));
+  std::unique_ptr<ThreadPool> pool;
+  if (sweep_threads > 1) pool = std::make_unique<ThreadPool>(sweep_threads);
+  const auto for_each = [&](std::size_t count, const auto& fn) {
+    if (pool && count > 1) {
+      pool->parallel_for(count, fn);
+    } else {
+      for (std::size_t i = 0; i < count; ++i) fn(i);
     }
   };
-  if (sweep_threads > 1 && num_blocks > 1) {
-    ThreadPool pool(sweep_threads);
-    pool.parallel_for(num_blocks, run_block);
-  } else {
-    for (std::size_t b = 0; b < num_blocks; ++b) run_block(b);
+
+  // A block is a DM-contiguous run of plans whose distinct nodes fit the
+  // arena budget; a single plan (at most G nodes) always fits. Within a
+  // block, stage 1 builds every distinct node once and stage 2 detects
+  // every plan, each as one parallel loop, so the thread count decides
+  // only who runs what: partials are a deterministic function of the
+  // filterbank and the pattern, and every plan's series is combined from
+  // the same partials in the same order under any blocking.
+  const std::size_t node_bytes = std::max<std::size_t>(1, n) * sizeof(double);
+  const std::size_t max_nodes =
+      std::max(num_groups, arena_budget_bytes / node_bytes);
+  constexpr std::uint32_t kNoBlock = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> block_of_node(sub.total_patterns, kNoBlock);
+  std::vector<std::uint32_t> node_order;  // the block's flat ids, first use
+  std::vector<const double*> node_series(sub.total_patterns);
+  std::vector<std::vector<SinglePulseEvent>> found(num_plans);
+  std::uint32_t blocks = 0;
+  std::int64_t partials_built = 0;
+
+  const auto run_block = [&](std::size_t begin, std::size_t end) {
+    obs::ScopedSpan span(tracer, "dedisp.subband.block", {}, "dedisp");
+    double* arena = node_arena(node_order.size() * n);
+    for (std::size_t i = 0; i < node_order.size(); ++i) {
+      node_series[node_order[i]] = arena + i * n;
+    }
+    for_each(node_order.size(), [&](std::size_t i) {
+      const std::size_t flat = node_order[i];
+      const std::size_t g = group_of(sub, flat);
+      accumulate_subband_partial(fb, sub.groups[g],
+                                 sub.patterns[g][flat - sub.pattern_base[g]],
+                                 arena + i * n, n);
+    });
+    for_each(end - begin, [&](std::size_t i) {
+      const std::size_t p = begin + i;
+      detect_subband_plan(sweep, sub, p, node_series.data(), n,
+                          fb.num_channels(), grid, fb.config().sample_time_ms,
+                          params, found[p]);
+    });
+    partials_built += static_cast<std::int64_t>(node_order.size());
+    if (span.active()) {
+      span.arg("plans", static_cast<std::int64_t>(end - begin));
+      span.arg("nodes", static_cast<std::int64_t>(node_order.size()));
+    }
+    node_order.clear();
+    ++blocks;
+  };
+  std::size_t begin = 0;
+  for (std::size_t p = 0; p < num_plans; ++p) {
+    std::size_t fresh = 0;
+    for (std::size_t g = 0; g < num_groups; ++g) {
+      fresh += block_of_node[sub.pattern_base[g] + sub.entry(p, g).pattern] !=
+               blocks;
+    }
+    if (p > begin && node_order.size() + fresh > max_nodes) {
+      run_block(begin, p);
+      begin = p;
+    }
+    for (std::size_t g = 0; g < num_groups; ++g) {
+      const std::size_t flat = sub.pattern_base[g] + sub.entry(p, g).pattern;
+      if (block_of_node[flat] != blocks) {
+        block_of_node[flat] = blocks;
+        node_order.push_back(static_cast<std::uint32_t>(flat));
+      }
+    }
   }
+  if (begin < num_plans) run_block(begin, num_plans);
 
   std::vector<SinglePulseEvent> events =
-      detail::merge_plan_events(sweep, grid, params.dm_stride, found);
+      merge_plan_events(sweep, grid, params.dm_stride, found);
 
   const double elapsed = watch.elapsed_seconds();
   auto& counters = obs::global_counters();
@@ -354,8 +441,8 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
   counters.add("dedisp.events", static_cast<std::int64_t>(events.size()));
   counters.add("dedisp.subband.nodes",
                static_cast<std::int64_t>(sub.total_patterns));
-  counters.add("dedisp.subband.partials_built",
-               partials_built.load(std::memory_order_relaxed));
+  counters.add("dedisp.subband.partials_built", partials_built);
+  counters.add("dedisp.subband.blocks", blocks);
   counters.add("dedisp.subband.residual_combines",
                static_cast<std::int64_t>(num_plans * num_groups));
   counters.set_gauge("dedisp.subband.groups",
@@ -369,6 +456,7 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
     sweep_span.arg("plans_unique", static_cast<std::int64_t>(num_plans));
     sweep_span.arg("groups", static_cast<std::int64_t>(num_groups));
     sweep_span.arg("nodes", static_cast<std::int64_t>(sub.total_patterns));
+    sweep_span.arg("blocks", static_cast<std::int64_t>(blocks));
     sweep_span.arg("max_residual",
                    static_cast<std::int64_t>(sub.max_residual));
     sweep_span.arg("events", static_cast<std::int64_t>(events.size()));
@@ -376,6 +464,23 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
     sweep_span.arg("kernel", kernels::dispatch_name());
   }
   return events;
+}
+
+}  // namespace detail
+
+std::vector<SinglePulseEvent> subband_single_pulse_search(
+    const Filterbank& fb, const DmGrid& grid,
+    const SinglePulseSearchParams& params) {
+  if (params.rfi.policy != MitigationPolicy::kOff) {
+    // Route direct calls through the mitigation stage too; it re-enters
+    // single_pulse_search with the policy cleared, so pin the method in
+    // case the caller reached here without setting it.
+    SinglePulseSearchParams routed = params;
+    routed.method = SweepMethod::kSubband;
+    return detail::mitigated_single_pulse_search(fb, grid, routed);
+  }
+  return detail::subband_single_pulse_search(fb, grid, params,
+                                             kArenaBudgetBytes);
 }
 
 }  // namespace drapid

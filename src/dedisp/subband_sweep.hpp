@@ -29,7 +29,9 @@
 //
 // Group count: `SinglePulseSearchParams::subband_groups`, or 0 to pick the
 // argmin of a bytes-touched cost model (stage-1 rows shrink as groups grow
-// coarser; stage-2 stream adds grow linearly with G).
+// coarser; stage-2 stream adds grow linearly with G). The model needs only
+// each group's distinct-pattern count, so the ladder probes count patterns
+// in place and only the winning G is decomposed.
 #pragma once
 
 #include <cstddef>
@@ -106,11 +108,12 @@ void accumulate_subband_partial(const Filterbank& fb,
 /// Stage 2 for one plan: series[s] = Σ_g partials[g][s + offset_g] for the
 /// groups still in range (ascending group order per sample — the regrouped
 /// summation the error bound describes). partials[g] points at the partial
-/// series for the plan's (g, pattern) node; series is resized to n and
-/// fully overwritten. Does NOT apply normalize_tail.
+/// series for the plan's (g, pattern) node; scratch.series is resized to n
+/// and fully overwritten (scratch.cuts / scratch.segment are the reusable
+/// segment buffers). Does NOT apply normalize_tail.
 void combine_subband_series(const SubbandPlan& sub, std::size_t plan_index,
                             const double* const* partials, std::size_t n,
-                            std::vector<double>& series);
+                            DedispScratch& scratch);
 
 /// Test/verification helper: dedisperses one plan via the subband path
 /// (stage 1 for its G nodes + stage 2 + normalize_tail) into scratch.series
@@ -120,15 +123,59 @@ void subband_series(const Filterbank& fb, const SweepPlan& sweep,
                     const SubbandPlan& sub, std::size_t plan_index,
                     DedispScratch& scratch);
 
-/// The full subband search: build_sweep_plan + build_subband_plan, stage 1/2
-/// over plan blocks on the worker pool, per-plan detection, trial-order
-/// merge. Called by single_pulse_search() when params.method == kSubband;
-/// same output contract, and the detected event set is identical to the
-/// exact method on every surveyed input (bounded series error never crosses
-/// a detection decision — pinned by dedisp_subband_test). Emits
+/// The full subband search: build_sweep_plan + build_subband_plan, then per
+/// block of plans one parallel stage-1 pass over the block's distinct nodes
+/// and one parallel stage-2 + detection pass over its plans, and a
+/// trial-order merge. Called by single_pulse_search() when params.method ==
+/// kSubband; same output contract, and the detected event set is identical
+/// to the exact method on every surveyed input (bounded series error never
+/// crosses a detection decision — pinned by dedisp_subband_test). Emits
 /// `dedisp.subband.*` counters and spans.
 std::vector<SinglePulseEvent> subband_single_pulse_search(
     const Filterbank& fb, const DmGrid& grid,
     const SinglePulseSearchParams& params);
+
+namespace detail {
+
+/// Candidate group counts the auto choice (`groups` = 0) walks, ascending;
+/// candidates above the channel count are skipped.
+inline constexpr std::size_t kSubbandGroupLadder[] = {1,  2,  4,  6,  8, 12,
+                                                      16, 24, 32, 48, 64};
+
+/// The count-only probe the auto ladder runs per candidate: the number of
+/// distinct residual patterns over all groups at `groups` (clamped to
+/// [1, channels]) — exactly build_subband_plan(sweep, channels, num_samples,
+/// groups).total_patterns, without building patterns or entries.
+std::size_t count_subband_patterns(const SweepPlan& sweep,
+                                   std::size_t channels,
+                                   std::size_t num_samples,
+                                   std::size_t groups);
+
+/// subband_single_pulse_search with the stage-1 arena capped at
+/// `arena_budget_bytes` instead of the production 256 MB: plans are split
+/// into DM-contiguous blocks whose distinct nodes fit the cap (a block
+/// always takes at least one plan), and blocks run in sequence. Output is
+/// byte-identical for every cap; tests use small caps to reach the
+/// multi-block path. params.rfi.policy must be kOff (throws
+/// std::invalid_argument otherwise) — the public entry routes mitigation.
+std::vector<SinglePulseEvent> subband_single_pulse_search(
+    const Filterbank& fb, const DmGrid& grid,
+    const SinglePulseSearchParams& params, std::size_t arena_budget_bytes);
+
+/// Stage 2 + tail normalization + detection for one plan, appending its
+/// events (detected at the plan's first-trial DM) to `out`.
+/// node_series[pattern_base[g] + pattern] points at the n-sample partial of
+/// node (g, pattern); only the plan's own G nodes are read. Uses per-thread
+/// scratch; the one-shot sweep and StreamingSweep::finalize both detect
+/// through it, so their series are byte-identical by construction.
+void detect_subband_plan(const SweepPlan& sweep, const SubbandPlan& sub,
+                         std::size_t plan_index,
+                         const double* const* node_series, std::size_t n,
+                         std::size_t channels, const DmGrid& grid,
+                         double sample_time_ms,
+                         const SinglePulseSearchParams& params,
+                         std::vector<SinglePulseEvent>& out);
+
+}  // namespace detail
 
 }  // namespace drapid

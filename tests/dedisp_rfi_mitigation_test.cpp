@@ -12,6 +12,9 @@
 #include "dedisp/single_pulse_search.hpp"
 #include "dedisp/streaming_sweep.hpp"
 #include "synth/dispersion.hpp"
+#include "synth/filterbank_survey.hpp"
+#include "synth/rfi.hpp"
+#include "synth/survey.hpp"
 #include "util/rng.hpp"
 
 namespace drapid {
@@ -362,6 +365,47 @@ TEST(Mitigation, StreamingMatchesOneShotUnderEveryPolicy) {
                            reference))
           << "policy " << mitigation_policy_name(policy) << " chunk " << chunk;
     }
+  }
+}
+
+TEST(Mitigation, ZeroDmHonoursExplicitChannelMask) {
+  // Regression: zero-DM-only mitigation used to drop an explicit mask in
+  // the one-shot search (the sweep ran unmasked) while the stream honoured
+  // it in its plans and its zero-DM mean. A 16-channel ska_mid render with
+  // the preset's structured RFI and 3 channels pinned out.
+  const SurveyConfig survey = SurveyConfig::ska_mid();
+  FilterbankConfig cfg;
+  cfg.center_freq_mhz = survey.center_freq_mhz;
+  cfg.bandwidth_mhz = survey.bandwidth_mhz;
+  cfg.num_channels = 16;
+  cfg.sample_time_ms = 2.0;
+  cfg.obs_length_s = 10.0;
+  Filterbank fb(cfg);
+  Rng rng(5);
+  fb.add_noise(rng, 1.0);
+  fb.inject_pulse(3.0, 40.0, 3.0, 20.0);
+  FilterbankSurveyOptions render;
+  render.num_channels = cfg.num_channels;
+  render.sample_time_ms = cfg.sample_time_ms;
+  render.obs_length_s = cfg.obs_length_s;
+  render_rfi_filterbank(draw_rfi_scenario(survey, cfg.obs_length_s, rng),
+                        render, fb, rng);
+  const DmGrid grid({{0.0, 60.0, 0.5}});
+  for (const SweepMethod method : {SweepMethod::kExact, SweepMethod::kSubband}) {
+    SinglePulseSearchParams params;
+    params.method = method;
+    params.rfi.policy = MitigationPolicy::kZeroDm;
+    const auto unmasked = single_pulse_search(fb, grid, params);
+    params.channel_mask.assign(cfg.num_channels, 0);
+    params.channel_mask[2] = params.channel_mask[7] =
+        params.channel_mask[11] = 1;
+    const auto one_shot = single_pulse_search(fb, grid, params);
+    ASSERT_FALSE(one_shot.empty()) << sweep_method_name(method);
+    EXPECT_TRUE(events_identical(
+        one_shot, stream_in_chunks(fb, grid, params, fb.num_samples())))
+        << sweep_method_name(method);
+    EXPECT_FALSE(events_identical(one_shot, unmasked))
+        << sweep_method_name(method);
   }
 }
 

@@ -1,16 +1,23 @@
 // Two-stage subband dedispersion (dedisp/subband_sweep.hpp) against the
 // exact PR 5 sweep as oracle: detected-event-set identity on synthetic
 // survey grids, per-series error bounds, plan-decomposition invariants,
-// degenerate group counts, and thread-count determinism.
+// degenerate group counts, thread-count determinism, the count-only group
+// ladder, and the arena-budget block split.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <vector>
 
+#include "dedisp/rfi_mitigation.hpp"
 #include "dedisp/single_pulse_search.hpp"
+#include "dedisp/streaming_sweep.hpp"
 #include "dedisp/subband_sweep.hpp"
+#include "obs/counters.hpp"
 #include "spe/dm_grid.hpp"
+#include "synth/filterbank_survey.hpp"
+#include "synth/rfi.hpp"
+#include "synth/survey.hpp"
 #include "util/rng.hpp"
 
 namespace drapid {
@@ -197,6 +204,175 @@ TEST(SubbandSweep, StridedGridMatchesOracle) {
   const auto exact = single_pulse_search(fb, grid, params);
   params.method = SweepMethod::kSubband;
   EXPECT_TRUE(events_identical(single_pulse_search(fb, grid, params), exact));
+}
+
+// --- survey-shaped input: 64 channels, dirty RFI, a masked plan ------------
+
+/// The end-to-end survey benchmark's observation shape at a test-sized
+/// length: ska_mid band, 64 channels at 1 ms, radiometer noise, three
+/// dispersed pulses and the preset's structured RFI painted in, then the
+/// mitigation stage's zero-DM clean and channel mask — the sweep sees the
+/// cleaned data with a masked plan.
+struct MaskedSurvey {
+  Filterbank fb;
+  std::vector<std::uint8_t> mask;
+};
+
+MaskedSurvey masked_survey(std::uint64_t seed) {
+  const SurveyConfig survey = SurveyConfig::ska_mid();
+  FilterbankConfig cfg;
+  cfg.center_freq_mhz = survey.center_freq_mhz;
+  cfg.bandwidth_mhz = survey.bandwidth_mhz;
+  cfg.num_channels = 64;
+  cfg.sample_time_ms = 1.0;
+  cfg.obs_length_s = 3.0;
+  MaskedSurvey out{Filterbank(cfg), {}};
+  Rng rng(seed);
+  out.fb.add_noise(rng, 1.0);
+  out.fb.inject_pulse(0.5, 12.0, 0.8, 2.0);
+  out.fb.inject_pulse(1.4, 25.0, 0.6, 3.0);
+  out.fb.inject_pulse(2.2, 6.0, 0.7, 1.5);
+  FilterbankSurveyOptions render;
+  render.num_channels = cfg.num_channels;
+  render.sample_time_ms = cfg.sample_time_ms;
+  render.obs_length_s = cfg.obs_length_s;
+  render_rfi_filterbank(draw_rfi_scenario(survey, cfg.obs_length_s, rng),
+                        render, out.fb, rng);
+  // Pin a hot channel on top of whatever the scenario painted, so the
+  // estimated mask always excludes something.
+  out.fb.inject_rfi_tone(40, 8.0, 0.0, cfg.obs_length_s);
+  RfiMitigationParams rfi;
+  rfi.policy = MitigationPolicy::kBoth;
+  apply_rfi_mitigation(out.fb, rfi, out.mask);
+  return out;
+}
+
+const DmGrid& masked_survey_grid() {
+  static const DmGrid grid = DmGrid::ska_mid().prefix(30.0);
+  return grid;
+}
+
+SinglePulseSearchParams masked_survey_params(const MaskedSurvey& survey,
+                                             SweepMethod method,
+                                             std::size_t threads) {
+  SinglePulseSearchParams params;
+  params.snr_threshold = SurveyConfig::ska_mid().snr_threshold;
+  params.method = method;
+  params.exec = ExecPolicy::local(threads);
+  params.channel_mask = survey.mask;
+  return params;
+}
+
+TEST(SubbandSweep, SurveyShapedMaskedInputMatchesOracleAtEveryThreadCount) {
+  const MaskedSurvey survey = masked_survey(41);
+  std::size_t masked = 0;
+  for (std::uint8_t m : survey.mask) masked += m;
+  ASSERT_GT(masked, 0u);
+  ASSERT_LT(masked, survey.fb.num_channels());
+  const DmGrid& grid = masked_survey_grid();
+  const auto oracle = single_pulse_search(
+      survey.fb, grid, masked_survey_params(survey, SweepMethod::kExact, 1));
+  ASSERT_FALSE(oracle.empty());
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    const SinglePulseSearchParams params =
+        masked_survey_params(survey, SweepMethod::kSubband, threads);
+    EXPECT_TRUE(
+        events_identical(single_pulse_search(survey.fb, grid, params), oracle))
+        << "one-shot subband, threads=" << threads;
+    StreamingSweep stream(survey.fb.config(), grid, params);
+    stream.push(survey.fb, 0, survey.fb.num_samples());
+    EXPECT_TRUE(events_identical(stream.finalize(), oracle))
+        << "single-push stream, threads=" << threads;
+  }
+}
+
+// --- the count-only group ladder --------------------------------------------
+
+TEST(SubbandLadder, CountOnlyProbeMatchesFullDecompositionAndPicksSameG) {
+  const MaskedSurvey survey = masked_survey(43);
+  const Filterbank gbt = survey_filterbank(350.0, 100.0, 32, 23);
+  struct Case {
+    const Filterbank* fb;
+    SweepPlan sweep;
+  };
+  const Case cases[] = {
+      {&survey.fb, build_sweep_plan(survey.fb, masked_survey_grid(), 1,
+                                    survey.mask)},
+      {&gbt, build_sweep_plan(gbt, DmGrid::gbt350drift().prefix(8.0))},
+  };
+  for (const Case& c : cases) {
+    const std::size_t channels = c.fb->num_channels();
+    const std::size_t n = c.fb->num_samples();
+    // The oracle: the ladder as full decompositions, scored with the
+    // documented bytes-touched model, first minimum wins.
+    std::size_t oracle_groups = 0;
+    double oracle_cost = 0.0;
+    for (const std::size_t groups : detail::kSubbandGroupLadder) {
+      if (groups > channels) break;
+      const SubbandPlan full = build_subband_plan(c.sweep, channels, n, groups);
+      EXPECT_EQ(
+          detail::count_subband_patterns(c.sweep, channels, n, groups),
+          full.total_patterns)
+          << "channels=" << channels << " groups=" << groups;
+      double stage1 = 0.0;
+      for (std::size_t g = 0; g < full.groups.size(); ++g) {
+        stage1 += 20.0 * static_cast<double>(full.patterns[g].size()) *
+                  static_cast<double>(full.groups[g].size());
+      }
+      const double cost =
+          stage1 + static_cast<double>(full.num_plans) *
+                       (8.0 * static_cast<double>(groups) + 16.0);
+      if (oracle_groups == 0 || cost < oracle_cost) {
+        oracle_cost = cost;
+        oracle_groups = groups;
+      }
+    }
+    const SubbandPlan chosen = build_subband_plan(c.sweep, channels, n);
+    EXPECT_EQ(chosen.groups.size(), oracle_groups) << "channels=" << channels;
+    const SubbandPlan direct =
+        build_subband_plan(c.sweep, channels, n, oracle_groups);
+    EXPECT_EQ(chosen.total_patterns, direct.total_patterns);
+    EXPECT_EQ(chosen.max_residual, direct.max_residual);
+  }
+}
+
+// --- the arena-budget block split -------------------------------------------
+
+TEST(SubbandSweep, OverBudgetBlockSplitIsByteIdenticalToOneBlock) {
+  const MaskedSurvey survey = masked_survey(47);
+  const DmGrid& grid = masked_survey_grid();
+  const std::size_t node_bytes = survey.fb.num_samples() * sizeof(double);
+  auto& blocks = obs::global_counters().counter("dedisp.subband.blocks");
+  for (const std::size_t threads : {1u, 3u}) {
+    const SinglePulseSearchParams params =
+        masked_survey_params(survey, SweepMethod::kSubband, threads);
+    std::int64_t before = blocks.value();
+    const auto one_block = detail::subband_single_pulse_search(
+        survey.fb, grid, params, std::size_t{1} << 40);
+    ASSERT_EQ(blocks.value() - before, 1);
+    ASSERT_FALSE(one_block.empty());
+    // A budget below one plan's G nodes still runs one plan per block; the
+    // larger caps cut DM-contiguous blocks of several plans.
+    for (const std::size_t budget_nodes : {1u, 7u, 40u, 150u}) {
+      before = blocks.value();
+      const auto split = detail::subband_single_pulse_search(
+          survey.fb, grid, params, budget_nodes * node_bytes);
+      EXPECT_GT(blocks.value() - before, 1)
+          << "budget_nodes=" << budget_nodes;
+      EXPECT_TRUE(events_identical(split, one_block))
+          << "threads=" << threads << " budget_nodes=" << budget_nodes;
+    }
+  }
+}
+
+TEST(SubbandSweep, BudgetedSeamRejectsUnroutedMitigation) {
+  const Filterbank fb = survey_filterbank(350.0, 100.0, 16, 29);
+  SinglePulseSearchParams params;
+  params.method = SweepMethod::kSubband;
+  params.rfi.policy = MitigationPolicy::kZeroDm;
+  EXPECT_THROW(detail::subband_single_pulse_search(
+                   fb, DmGrid({{0.0, 5.0, 0.5}}), params, 1 << 20),
+               std::invalid_argument);
 }
 
 TEST(SweepMethodKnob, ParsesAndNames) {
