@@ -160,7 +160,6 @@ int main(int argc, char** argv) {
     // schedule. The ratio should hold steady across backends/workers.
     const auto makespan = validate_makespan(result.metrics, cluster_sim);
     row.set("backend", exec_backend_name(engine_config.exec.backend));
-    row.set("pool", pool_mode_name(engine_config.exec.pool));
     row.set("measured_stage_seconds", makespan.measured_seconds);
     row.set("modeled_over_measured", makespan.ratio);
     row.set("records", static_cast<std::int64_t>(result.records.size()));

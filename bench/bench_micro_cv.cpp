@@ -60,7 +60,7 @@ void cv_learner(benchmark::State& state, LearnerType type,
     Rng rng(7);
     const auto result = cross_validate(
         d, 5, [type] { return make_classifier(type, 1); }, rng, nullptr,
-        nullptr, CvOptions{.threads = threads});
+        nullptr, CvOptions{.exec = ExecPolicy::local(threads)});
     benchmark::DoNotOptimize(result.pooled.total());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

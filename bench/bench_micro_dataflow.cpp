@@ -64,37 +64,15 @@ void BM_AggregateByKey(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregateByKey)->Arg(10000)->Arg(100000);
 
-// The same shuffle through the process backend's fork-per-stage path: per
-// iteration the engine forks workers, runs the hash stage in them, and
-// ships the routing maps back over checksummed socket frames. The gap to
-// BM_PartitionBy is the fork + IPC overhead fork-per-stage pays per stage.
-void BM_ProcessShuffle(benchmark::State& state) {
-  EngineConfig cfg = bench_config();
-  cfg.exec = ExecPolicy::process(
-      static_cast<std::size_t>(state.range(1)), 2, PoolMode::kStage);
-  Engine engine(cfg);
-  const auto rdd = parallelize(
-      engine, make_pairs(static_cast<std::size_t>(state.range(0)), 100), 8);
-  const HashPartitioner part{32};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(partition_by(engine, rdd, part));
-    engine.reset_metrics();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_ProcessShuffle)->Args({10000, 2})->Args({10000, 4});
-
-// The same shuffle through the job-lifetime worker pool, measured the way a
-// mid-job shuffle actually runs: the source partitions are already resident
-// in the workers (parked there by an earlier stage, outside the timed
-// loop), so each iteration pays neither the per-stage fork tax nor the
+// The same shuffle through the process backend's job-lifetime worker pool,
+// measured the way a mid-job shuffle actually runs: the source partitions
+// are already resident in the workers (parked there by an earlier stage,
+// outside the timed loop), so each iteration pays neither a fork nor the
 // source bytes — only the genuinely shuffled segments cross the sockets.
-// The gap to BM_ProcessShuffle is the pool's reason to exist.
+// The gap to BM_PartitionBy is the pool's per-stage IPC overhead.
 void BM_PooledShuffle(benchmark::State& state) {
   EngineConfig cfg = bench_config();
-  cfg.exec = ExecPolicy::process(
-      static_cast<std::size_t>(state.range(1)), 2, PoolMode::kJob);
+  cfg.exec = ExecPolicy::process(static_cast<std::size_t>(state.range(1)), 2);
   Engine engine(cfg);
   const auto rdd = parallelize(
       engine, make_pairs(static_cast<std::size_t>(state.range(0)), 100), 8);

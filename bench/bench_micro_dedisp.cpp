@@ -80,7 +80,7 @@ const DmGrid& sweep_grid() {
 void BM_DmSweep(benchmark::State& state) {
   const auto fb = bench_filterbank(32);
   SinglePulseSearchParams params;
-  params.threads = static_cast<std::size_t>(state.range(0));
+  params.exec.threads_per_worker = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(single_pulse_search(fb, sweep_grid(), params));
   }
@@ -97,7 +97,7 @@ void BM_DmSweepSubband(benchmark::State& state) {
   const auto fb = bench_filterbank(32);
   SinglePulseSearchParams params;
   params.method = SweepMethod::kSubband;
-  params.threads = static_cast<std::size_t>(state.range(0));
+  params.exec.threads_per_worker = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(single_pulse_search(fb, sweep_grid(), params));
   }
@@ -127,7 +127,7 @@ void BM_DmSweepSubbandMasked(benchmark::State& state) {
   static const DmGrid grid = DmGrid::ska_mid().prefix(100.0);
   SinglePulseSearchParams params;
   params.method = SweepMethod::kSubband;
-  params.threads = static_cast<std::size_t>(state.range(0));
+  params.exec.threads_per_worker = static_cast<std::size_t>(state.range(0));
   params.channel_mask.assign(fb.num_channels(), 0);
   params.channel_mask[9] = params.channel_mask[30] =
       params.channel_mask[51] = 1;

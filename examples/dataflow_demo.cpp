@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   EngineConfig config;
   config.num_executors = 4;
-  config.worker_threads = 2;
+  config.exec.threads_per_worker = 2;
   Engine engine(config);
 
   // Load: one partition per block chunk.

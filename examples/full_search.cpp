@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
   // unique plans out over a worker pool; output is identical at any count.
   const DmGrid grid({{0.0, 120.0, 1.0}});
   SinglePulseSearchParams sp_params;
-  sp_params.threads = static_cast<std::size_t>(opts.integer("threads"));
+  sp_params.exec.threads_per_worker =
+      static_cast<std::size_t>(opts.integer("threads"));
   // --sweep=subband runs the two-stage subband dedispersion; the detected
   // event set is identical to the exact sweep, only faster.
   sp_params.method = parse_sweep_method(opts.str("sweep"));
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
             << sweep.num_trials - sweep.plans.size() << " dedup hits, "
             << sweep_method_name(sp_params.method) << " sweep, rfi="
             << mitigation_policy_name(sp_params.rfi.policy) << ", "
-            << sp_params.threads << " thread(s))\n";
+            << sp_params.exec.threads_per_worker << " thread(s))\n";
 
   // Phase 3b: periodicity search on the series dedispersed at the best DM.
   const auto series = dedisperse(fb, dm);

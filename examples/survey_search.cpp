@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const auto executors = static_cast<std::size_t>(opts.integer("executors"));
   EngineConfig engine_config;
   engine_config.num_executors = executors;
-  engine_config.worker_threads = 2;
+  engine_config.exec.threads_per_worker = 2;
   engine_config.partitions_per_core = 8;
   Engine engine(engine_config);
   BlockStore store(15);  // the paper's 15 data nodes

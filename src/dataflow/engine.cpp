@@ -108,8 +108,7 @@ std::string JobMetrics::summary() const {
 
 Engine::Engine(EngineConfig config)
     : config_(config),
-      pool_(config.exec.resolve_threads(
-          config.worker_threads == 0 ? 1 : config.worker_threads)),
+      pool_(config.exec.threads_per_worker),
       faults_(config.faults),
       tracer_(config.tracer ? *config.tracer : obs::global_tracer()),
       stages_counter_(obs::global_counters().counter("engine.stages")),
@@ -129,8 +128,7 @@ Engine::Engine(EngineConfig config)
   if (config_.exec.backend == ExecBackend::kProcess &&
       process_executor_supported()) {
     executor_ = std::make_unique<ProcessExecutor>(
-        *this, config_.exec.resolve_workers(config_.num_executors),
-        config_.exec.pool);
+        *this, config_.exec.resolve_workers(config_.num_executors));
   } else {
     // Local backend, or a sanitizer build where forking a multithreaded
     // process would deadlock the TSan runtime: run everything in-process.
@@ -166,13 +164,12 @@ StageMetrics& Engine::begin_stage(const std::string& name, std::size_t tasks) {
 
 void Engine::run_stage(StageMetrics& stage,
                        const std::function<void(TaskContext&)>& body,
-                       const StageIO& io, PoolStagePlan* plan) {
+                       PoolStagePlan* plan) {
   obs::ScopedSpan stage_span(tracer_, "stage", stage.name, "dataflow");
   stage_span.arg("tasks", static_cast<std::int64_t>(stage.tasks.size()));
   const SchedulerStats pool_before = pool_.stats();
   const auto wall_start = std::chrono::steady_clock::now();
-  executor_->run_stage_tasks(
-      StageRun{stage, body, io.valid() ? &io : nullptr, plan});
+  executor_->run_stage_tasks(StageRun{stage, body, plan});
   stage.wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)

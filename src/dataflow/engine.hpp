@@ -41,17 +41,13 @@ struct EngineConfig {
   std::size_t executor_memory_bytes = 256ull << 20;
   /// Partitions assigned per core (paper's custom partitioner used 32).
   std::size_t partitions_per_core = 32;
-  /// Worker threads actually used on this machine (independent of the
-  /// modeled executor count; capped by hardware). Deprecated in favor of
-  /// exec.threads_per_worker, which wins when set; this field remains the
-  /// shim so pre-PR 7 call sites keep their exact pool size.
-  std::size_t worker_threads = 4;
   /// Execution policy: which backend runs stage tasks (local in-process
-  /// pool, or forked worker processes shuffling over Unix-domain sockets),
+  /// pool, or a pool of forked worker processes over Unix-domain sockets),
   /// how many worker processes (0 = num_executors — the modeled cluster
-  /// finally gets real processes), and pool threads per worker (0 = the
-  /// worker_threads shim above).
-  ExecPolicy exec;
+  /// finally gets real processes), and the in-process pool threads
+  /// actually used on this machine (independent of the modeled executor
+  /// count).
+  ExecPolicy exec = ExecPolicy::local(4);
   /// Directory for spill files; empty selects the system temp directory.
   std::string spill_dir;
   /// Attempt budget per task (first run + retries). A task whose every
@@ -99,7 +95,6 @@ class TaskContext {
  private:
   friend class Engine;
   friend class LocalExecutor;
-  friend class ProcessExecutor;
   TaskContext(const std::string& stage_name, std::size_t partition,
               TaskMetrics& metrics, obs::ScopedSpan& span)
       : stage_name_(stage_name),
@@ -147,18 +142,16 @@ class Engine {
   /// span and each task under a nested "task" span; retries emit
   /// "task.retry" instants.
   ///
-  /// `io` is the stage's output contract (see executor.hpp). Stages that
-  /// pass one may run their bodies in worker processes under the process
-  /// backend; stages that omit it always run in-process on every backend.
-  ///
   /// `plan` is the stage's pool plan (PR 10), or nullptr when the stage
-  /// cannot ship by kernel+bytes. Only the job-pool backend reads it; on
-  /// success it fills plan->out with the stage's worker-resident output set.
+  /// cannot ship by kernel+bytes. Only the process backend reads it: a
+  /// planned stage runs in the worker pool and, on success, fills plan->out
+  /// with its worker-resident output set; an unplanned stage runs `body`
+  /// in-process on every backend.
   void run_stage(StageMetrics& stage,
                  const std::function<void(TaskContext&)>& body,
-                 const StageIO& io = {}, PoolStagePlan* plan = nullptr);
+                 PoolStagePlan* plan = nullptr);
 
-  /// The residency surface of a job-pool backend, nullptr on every other
+  /// The residency surface of the process backend, nullptr on every other
   /// backend. Transformations probe this to decide whether building a
   /// PoolStagePlan is worth anything.
   PoolResidency* pool_residency() { return executor_->residency(); }
@@ -175,7 +168,6 @@ class Engine {
 
  private:
   friend class LocalExecutor;
-  friend class ProcessExecutor;
   friend class WorkerPool;
 
   EngineConfig config_;

@@ -7,21 +7,18 @@
 //   * LocalExecutor — the default: one task per partition on the engine's
 //     in-process work-stealing pool, byte-identical to the pre-PR 7 engine
 //     (same attempt loop, same spans, same counters).
-//   * ProcessExecutor (dataflow/ipc/process_executor.hpp) — forks N worker
-//     processes per stage and ships each task's declared output back over a
-//     Unix-domain socket in checksummed frames; worker death is detected as
-//     socket EOF and recovered through the same bounded-retry budget.
+//   * ProcessExecutor (dataflow/ipc/process_executor.hpp) — runs every stage
+//     that carries a PoolStagePlan on a job-lifetime pool of forked worker
+//     processes (dataflow/ipc/pool.hpp) and every other stage in-process on
+//     an embedded LocalExecutor.
 //
 // A stage body is an arbitrary closure with in-memory side effects, which a
-// child process cannot apply to the coordinator. Stages therefore declare an
-// optional StageIO contract: serialize(p) captures task p's output where the
-// body ran, absorb(p, bytes) applies it in the coordinator. Stages without a
-// contract (spill I/O, in-memory bookkeeping) always execute in-process on
-// every backend; all data-plane RDD stages (dataflow/rdd.hpp) declare one.
-//
-// Bodies routed to a process worker run sequentially on the child's only
-// thread and must not touch the engine's thread pool (the pool's workers do
-// not exist after fork). No engine stage body does.
+// worker process forked before the closure existed cannot run. A stage that
+// can leave the process therefore ships a plan instead: a kernel function
+// pointer plus its closure as bytes. Stages without a plan (closures that
+// are not trivially copyable, spill I/O, in-memory bookkeeping) run their
+// body in-process on every backend, so the local backend is the
+// byte-identity oracle for the pooled one.
 #pragma once
 
 #include <cstddef>
@@ -42,27 +39,14 @@ class Engine;
 class TaskContext;
 struct StageMetrics;
 
-/// Output contract of one stage: how a task's result leaves the process the
-/// body ran in and re-enters the coordinator. serialize must be a pure
-/// function of the body's completed effects for partition p; absorb(p,
-/// serialize(p)) in the coordinator must leave the stage's outputs exactly
-/// as if the body had run there — that equivalence is what makes process
-/// and local backends byte-identical.
-struct StageIO {
-  std::function<std::string(std::size_t partition)> serialize;
-  std::function<void(std::size_t partition, const std::string& bytes)> absorb;
-
-  bool valid() const { return serialize != nullptr && absorb != nullptr; }
-};
-
 // ---------------------------------------------------------------------------
-// Pool-mode stage plans (PR 10). A job-lifetime worker pool forks before most
-// of a job's closures and data exist, so — unlike the fork-per-stage path — a
-// pooled stage cannot run the body closure in the child. Instead the stage
-// ships *code by address* (a kernel function pointer, valid across fork
-// because parent and child are the same binary) plus *state by bytes* (a
-// trivially-copyable closure object and serialized input partitions), and the
-// worker keeps the serialized output resident for the next stage.
+// Pool stage plans (PR 10). A job-lifetime worker pool forks before most of a
+// job's closures and data exist, so a pooled stage cannot run the body
+// closure in the worker. Instead the stage ships *code by address* (a kernel
+// function pointer, valid across fork because parent and child are the same
+// binary) plus *state by bytes* (a trivially-copyable closure object and
+// serialized input partitions), and the worker keeps the serialized output
+// resident for the next stage.
 
 /// Type-erased context a pool kernel runs under in the worker (or in the
 /// parent, when rebuilding a lost partition from lineage).
@@ -162,10 +146,9 @@ class PoolResidency {
 struct StageRun {
   StageMetrics& stage;
   const std::function<void(TaskContext&)>& body;
-  /// Output contract, or nullptr when the stage has none (in-process only).
-  const StageIO* io = nullptr;
   /// Pool plan, or nullptr when the stage cannot ship (non-trivially-
-  /// copyable closure, no contract). Only the job-pool backend reads it.
+  /// copyable closure, spill or cache bookkeeping). Only the process
+  /// backend reads it.
   PoolStagePlan* plan = nullptr;
 };
 
@@ -186,16 +169,15 @@ class Executor {
   /// first body exception otherwise.
   virtual void run_stage_tasks(StageRun run) = 0;
 
-  /// The partition-residency surface of a job-pool backend; nullptr
-  /// everywhere else (local backend, fork-per-stage mode, TSan fallback).
+  /// The partition-residency surface of the process backend; nullptr
+  /// everywhere else (local backend, TSan fallback).
   virtual PoolResidency* residency() { return nullptr; }
 };
 
 /// In-process backend: the pre-PR 7 execution path, verbatim. Tasks fan out
 /// over the engine's work-stealing pool; injected failures kill an attempt
 /// at launch and are retried with the wasted work recorded in
-/// attempts/retry_cost. StageIO contracts are ignored (outputs are already
-/// in place).
+/// attempts/retry_cost. Pool plans are ignored (the body runs in place).
 class LocalExecutor : public Executor {
  public:
   explicit LocalExecutor(Engine& engine) : engine_(engine) {}

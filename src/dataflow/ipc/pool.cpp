@@ -1238,8 +1238,8 @@ void WorkerPool::run_pooled_stage(StageRun run) {
     for (auto& w : workers_) {
       if (!w.alive) continue;
       send_stage_begin(w);
-      // Planned kills draw at stage-local incarnation 0, the same site the
-      // fork-per-stage path uses; replacements (stage_deaths > 0) never die.
+      // Planned kills draw at stage-local incarnation 0; replacements
+      // (stage_deaths > 0) never die, so planned kills always recover.
       die[w.slot] = engine_.faults_.kill_worker(stage.name, w.slot, 0);
     }
     for (std::size_t p = 0; p < ctx.ntasks; ++p) {

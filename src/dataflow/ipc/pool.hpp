@@ -1,11 +1,12 @@
 // Job-lifetime worker pool with partition-resident shuffles (PR 10).
 //
-// The fork-per-stage ProcessExecutor (PR 7) pays two taxes the paper's
-// cluster never would: a fork+teardown per stage, and a full ship-up of every
-// stage's output partitions to the coordinator. WorkerPool replaces both:
-// the pool forks its N workers once — lazily, inside the first pooled stage —
-// and drives them through a multi-stage dispatch protocol over the same
-// DRASPIPC framed sockets (wire.hpp kinds kStageBegin..kShutdown).
+// WorkerPool is the process backend's counterpart of the paper's Spark
+// executors, which live for the whole job and keep partitions in memory
+// between stages. It pays neither a fork+teardown per stage nor a ship-up of
+// every stage's output partitions to the coordinator: the pool forks its N
+// workers once — lazily, inside the first pooled stage — and drives them
+// through a multi-stage dispatch protocol over DRASPIPC framed sockets
+// (wire.hpp kinds kStageBegin..kShutdown).
 //
 // What makes a persistent pool possible at all: a worker forked at job start
 // can only see parent state that existed at fork time, and stage closures are
@@ -29,9 +30,9 @@
 // socket.
 //
 // Failure model: worker death (EOF / corrupt frame) charges one attempt to
-// each unfinished task it held — identical accounting to the fork-per-stage
-// path and to an injected task kill under the local backend — and a
-// replacement is forked at incarnation + 1. Partitions that were resident on
+// each unfinished task it held — identical accounting to an injected task
+// kill under the local backend — and a replacement is forked at
+// incarnation + 1. Partitions that were resident on
 // the dead worker are *not* re-shipped: the parent registry stores each set's
 // lineage (kernel, closure, and the chain-head input bytes), so a lost
 // partition is rebuilt on demand by re-running kernels in the parent. Lineage
@@ -111,7 +112,7 @@ class PoolRegistryCore {
   std::uint64_t next_id_ = 1;
 };
 
-/// The job-lifetime pool. One per ProcessExecutor in PoolMode::kJob.
+/// The job-lifetime pool. One per ProcessExecutor.
 class WorkerPool : public PoolResidency {
  public:
   WorkerPool(Engine& engine, std::size_t workers);

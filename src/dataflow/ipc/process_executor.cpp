@@ -1,22 +1,8 @@
 #include "dataflow/ipc/process_executor.hpp"
 
-#include <poll.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
-#include "dataflow/engine.hpp"
 #include "dataflow/ipc/pool.hpp"
-#include "dataflow/ipc/wire.hpp"
 
 namespace drapid {
 
@@ -34,369 +20,21 @@ bool process_executor_supported() {
 #endif
 }
 
-namespace {
-
-/// Writes the whole buffer; false when the peer vanished (EPIPE & co).
-bool write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// One task on a worker's run list. attempt_base counts attempts already
-/// charged to the task by earlier deaths of this worker slot; the child's
-/// retry loop starts there, so fault draws and attempt counters line up
-/// exactly with what the local backend would have recorded.
-struct WorkerTask {
-  std::size_t partition = 0;
-  std::size_t attempt_base = 0;
-};
-
-struct Worker {
-  pid_t pid = -1;
-  int fd = -1;  ///< parent side of the socketpair (-1 once closed)
-  std::size_t slot = 0;
-  std::size_t incarnation = 0;
-  std::vector<WorkerTask> pending;  ///< unfinished tasks, execution order
-  std::string buffer;               ///< received bytes not yet decoded
-  bool alive = false;
-};
-
-std::string permanent_failure_message(const std::string& stage,
-                                      std::size_t partition,
-                                      std::size_t attempts) {
-  return "task failed permanently after " + std::to_string(attempts) +
-         " attempts: stage=" + stage +
-         " partition=" + std::to_string(partition);
-}
-
-}  // namespace
-
-ProcessExecutor::ProcessExecutor(Engine& engine, std::size_t workers,
-                                 PoolMode pool)
-    : engine_(engine),
-      workers_(std::max<std::size_t>(1, workers)),
-      mode_(pool),
-      local_(engine) {
-  if (mode_ == PoolMode::kJob) {
-    pool_ = std::make_unique<WorkerPool>(engine_, workers_);
-  }
-}
+ProcessExecutor::ProcessExecutor(Engine& engine, std::size_t workers)
+    : workers_(std::max<std::size_t>(1, workers)),
+      local_(engine),
+      pool_(std::make_unique<WorkerPool>(engine, workers_)) {}
 
 ProcessExecutor::~ProcessExecutor() = default;
 
 PoolResidency* ProcessExecutor::residency() { return pool_.get(); }
 
 void ProcessExecutor::run_stage_tasks(StageRun run) {
-  if (mode_ == PoolMode::kJob) {
-    // Job pool: stages that shipped a plan run on the persistent workers;
-    // everything else (non-trivially-copyable closures, spill I/O, cache
-    // bookkeeping) runs in-process — the transformation layer has already
-    // localized any resident inputs such stages need. Fork-per-stage is not
-    // an option here: a fresh fork would inherit the pool's sockets and the
-    // stage closure would race the pool's resident state.
-    if (run.plan != nullptr && run.plan->kernel != nullptr &&
-        !run.stage.tasks.empty()) {
-      pool_->run_pooled_stage(run);
-    } else {
-      local_.run_stage_tasks(run);
-    }
-    return;
-  }
-  run_stage_tasks_forked(run);
-}
-
-void ProcessExecutor::run_stage_tasks_forked(StageRun run) {
-  StageMetrics& stage = run.stage;
-  // No output contract means the stage's effects cannot cross a process
-  // boundary (spill I/O, in-memory bookkeeping): run it where they land.
-  if (run.io == nullptr || stage.tasks.empty()) {
+  if (run.plan != nullptr && run.plan->kernel != nullptr &&
+      !run.stage.tasks.empty()) {
+    pool_->run_pooled_stage(run);
+  } else {
     local_.run_stage_tasks(run);
-    return;
-  }
-
-  const std::size_t max_attempts =
-      std::max<std::size_t>(1, engine_.config_.max_task_attempts);
-  const std::size_t nworkers = std::min(workers_, stage.tasks.size());
-
-  std::vector<Worker> workers(nworkers);
-  for (std::size_t i = 0; i < nworkers; ++i) workers[i].slot = i;
-  for (std::size_t p = 0; p < stage.tasks.size(); ++p) {
-    workers[p % nworkers].pending.push_back(WorkerTask{p, 0});
-  }
-
-  // Runs in the forked child only. Executes the slot's pending tasks
-  // sequentially on the child's sole thread (the parent's pool workers do
-  // not exist here) and ships each outcome as one wire frame. Never
-  // returns; never calls exit() — _exit() skips atexit handlers and stdio
-  // flushes that belong to the parent.
-  const auto child_main = [&](const Worker& self, bool kill_before_last,
-                              const std::vector<int>& close_fds) -> void {
-    for (int fd : close_fds) ::close(fd);
-    ::signal(SIGPIPE, SIG_IGN);
-    // Child-local disabled tracer: spans die with the child, and growing
-    // the parent's tracer buffers post-fork is not safe. The parent still
-    // wraps the stage in its own span.
-    obs::Tracer child_tracer;
-    for (std::size_t i = 0; i < self.pending.size(); ++i) {
-      if (kill_before_last && i + 1 == self.pending.size()) {
-        // Planned death: vanish without a frame, mid-"write" as far as the
-        // coordinator can tell. SIGKILL is unmaskable, like the real thing.
-        ::kill(::getpid(), SIGKILL);
-      }
-      const WorkerTask wt = self.pending[i];
-      auto& task = stage.tasks[wt.partition];  // the child's COW copy
-      ipc::TaskFrame frame;
-      frame.partition = wt.partition;
-      try {
-        obs::ScopedSpan task_span(child_tracer, "task", stage.name,
-                                  "dataflow");
-        TaskContext ctx(stage.name, wt.partition, task, task_span);
-        for (std::size_t attempt = wt.attempt_base;; ++attempt) {
-          ctx.attempt_ = attempt;
-          task.attempts = attempt + 1;
-          if (engine_.faults_.fail_task(stage.name, wt.partition, attempt)) {
-            if (attempt + 1 >= max_attempts) {
-              throw TaskFailure(permanent_failure_message(
-                  stage.name, wt.partition, attempt + 1));
-            }
-            continue;  // the reattempt backoff is modeled, not slept
-          }
-          run.body(ctx);
-          if (attempt > 0) {
-            task.retry_cost += attempt * task.compute_cost;
-          }
-          break;
-        }
-        frame.kind = ipc::FrameKind::kResult;
-        frame.metrics = task;
-        frame.payload = run.io->serialize(wt.partition);
-      } catch (const TaskFailure& failure) {
-        frame.kind = ipc::FrameKind::kError;
-        frame.error_kind = ipc::WireErrorKind::kTaskFailure;
-        frame.metrics = task;
-        frame.payload = failure.what();
-      } catch (const std::exception& error) {
-        frame.kind = ipc::FrameKind::kError;
-        frame.error_kind = ipc::WireErrorKind::kRuntime;
-        frame.metrics = task;
-        frame.payload = error.what();
-      }
-      const std::string bytes = ipc::encode_frame(frame);
-      if (!write_all(self.fd, bytes.data(), bytes.size())) ::_exit(1);
-      if (frame.kind == ipc::FrameKind::kError) ::_exit(0);
-    }
-    ::_exit(0);
-  };
-
-  const auto spawn = [&](Worker& w) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-      throw std::runtime_error(std::string("socketpair failed: ") +
-                               std::strerror(errno));
-    }
-    // Everything the child must NOT hold open: the other live workers'
-    // parent-side sockets (an inherited duplicate would mask a sibling's
-    // EOF) and its own parent side.
-    std::vector<int> close_fds;
-    for (const auto& other : workers) {
-      if (other.alive && other.fd >= 0) close_fds.push_back(other.fd);
-    }
-    close_fds.push_back(fds[0]);
-    const bool kill_before_last =
-        engine_.faults_.kill_worker(stage.name, w.slot, w.incarnation);
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      throw std::runtime_error(std::string("fork failed: ") +
-                               std::strerror(errno));
-    }
-    if (pid == 0) {
-      Worker self = w;
-      self.fd = fds[1];
-      child_main(self, kill_before_last, close_fds);
-      ::_exit(0);  // unreachable; child_main always _exits
-    }
-    ::close(fds[1]);
-    w.pid = pid;
-    w.fd = fds[0];
-    w.alive = true;
-    w.buffer.clear();
-    stage.workers_used += 1;
-    engine_.workers_forked_counter_.add();
-  };
-
-  // Attempts charged to each partition by worker deaths (not by injected
-  // task kills, which the child draws itself); used to split the attempt
-  // counter back into retry kinds for the global counters.
-  std::vector<std::size_t> death_attempts(stage.tasks.size(), 0);
-  std::size_t completed = 0;
-
-  const auto retire = [](Worker& w) {
-    if (w.fd >= 0) ::close(w.fd);
-    w.fd = -1;
-    w.alive = false;
-    int status = 0;
-    ::waitpid(w.pid, &status, 0);
-  };
-
-  // Worker death (EOF or corrupt frame): every unfinished task is charged
-  // one attempt — the same price as an injected task kill — and, budget
-  // permitting, a replacement incarnation is forked for the remainder.
-  const auto handle_death = [&](Worker& w) {
-    retire(w);
-    if (w.pending.empty()) return;  // clean retirement, all tasks done
-    stage.worker_deaths += 1;
-    engine_.worker_deaths_counter_.add();
-    if (engine_.tracer_.enabled()) {
-      obs::Json args = obs::Json::object();
-      args.set("stage", stage.name);
-      args.set("worker", static_cast<std::int64_t>(w.slot));
-      args.set("incarnation", static_cast<std::int64_t>(w.incarnation));
-      args.set("tasks_lost", static_cast<std::int64_t>(w.pending.size()));
-      engine_.tracer_.instant("worker.death", std::move(args), "fault");
-    }
-    for (auto& wt : w.pending) {
-      wt.attempt_base += 1;
-      death_attempts[wt.partition] += 1;
-      engine_.retries_counter_.add();
-      if (engine_.tracer_.enabled()) {
-        obs::Json args = obs::Json::object();
-        args.set("stage", stage.name);
-        args.set("partition", static_cast<std::int64_t>(wt.partition));
-        args.set("attempt", static_cast<std::int64_t>(wt.attempt_base - 1));
-        engine_.tracer_.instant("task.retry", std::move(args), "fault");
-      }
-      if (wt.attempt_base >= max_attempts) {
-        engine_.failures_counter_.add();
-        throw TaskFailure(permanent_failure_message(stage.name, wt.partition,
-                                                    wt.attempt_base));
-      }
-    }
-    w.incarnation += 1;
-    spawn(w);
-  };
-
-  const auto handle_frame = [&](Worker& w, const ipc::TaskFrame& frame,
-                                std::size_t frame_bytes) {
-    if (frame.kind == ipc::FrameKind::kError) {
-      if (frame.error_kind == ipc::WireErrorKind::kTaskFailure) {
-        engine_.failures_counter_.add();
-        throw TaskFailure(frame.payload);
-      }
-      throw std::runtime_error(frame.payload);
-    }
-    const std::size_t p = static_cast<std::size_t>(frame.partition);
-    const auto it =
-        std::find_if(w.pending.begin(), w.pending.end(),
-                     [&](const WorkerTask& t) { return t.partition == p; });
-    if (p >= stage.tasks.size() || it == w.pending.end()) {
-      throw std::runtime_error("process executor: worker " +
-                               std::to_string(w.slot) +
-                               " returned unassigned partition " +
-                               std::to_string(p));
-    }
-    run.io->absorb(p, frame.payload);
-    stage.tasks[p] = frame.metrics;
-    stage.tasks[p].partition = p;
-    stage.ipc_bytes += frame_bytes;
-    engine_.ipc_bytes_counter_.add(static_cast<std::int64_t>(frame_bytes));
-    engine_.tasks_counter_.add();
-    // attempts = 1 clean run + death-charged attempts + injected kills the
-    // child drew; credit the injected share to the retry counter (deaths
-    // were credited when they happened).
-    const std::size_t base = 1 + death_attempts[p];
-    if (frame.metrics.attempts > base) {
-      engine_.retries_counter_.add(
-          static_cast<std::int64_t>(frame.metrics.attempts - base));
-    }
-    w.pending.erase(it);
-    completed += 1;
-  };
-
-  try {
-    for (auto& w : workers) spawn(w);
-    while (completed < stage.tasks.size()) {
-      std::vector<pollfd> fds;
-      std::vector<Worker*> owners;
-      for (auto& w : workers) {
-        if (!w.alive) continue;
-        fds.push_back(pollfd{w.fd, POLLIN, 0});
-        owners.push_back(&w);
-      }
-      if (fds.empty()) {
-        throw std::runtime_error(
-            "process executor: all workers retired with tasks incomplete");
-      }
-      const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), -1);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        throw std::runtime_error(std::string("poll failed: ") +
-                                 std::strerror(errno));
-      }
-      for (std::size_t i = 0; i < fds.size(); ++i) {
-        if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-        Worker& w = *owners[i];
-        char buf[64 * 1024];
-        const ssize_t n = ::read(w.fd, buf, sizeof(buf));
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          handle_death(w);
-          continue;
-        }
-        if (n == 0) {
-          // EOF. Anything left in the buffer is a frame the worker died
-          // mid-write; handle_death treats the remnant like the SIGKILL it
-          // probably was.
-          handle_death(w);
-          continue;
-        }
-        w.buffer.append(buf, static_cast<std::size_t>(n));
-        std::size_t offset = 0;
-        bool corrupt = false;
-        while (true) {
-          ipc::TaskFrame frame;
-          std::size_t consumed = 0;
-          const auto status =
-              ipc::try_decode_frame(w.buffer.data() + offset,
-                                    w.buffer.size() - offset, frame, consumed);
-          if (status == ipc::DecodeStatus::kOk) {
-            handle_frame(w, frame, consumed);
-            offset += consumed;
-            continue;
-          }
-          if (status == ipc::DecodeStatus::kIncomplete) break;
-          corrupt = true;
-          break;
-        }
-        w.buffer.erase(0, offset);
-        if (corrupt) {
-          // A worker emitting garbage is as dead as one that vanished:
-          // kill it for real, then recover through the same path.
-          ::kill(w.pid, SIGKILL);
-          handle_death(w);
-        }
-      }
-    }
-    // All tasks absorbed; retire workers that haven't EOF'd yet.
-    for (auto& w : workers) {
-      if (w.alive) retire(w);
-    }
-  } catch (...) {
-    for (auto& w : workers) {
-      if (!w.alive) continue;
-      ::kill(w.pid, SIGKILL);
-      retire(w);
-    }
-    throw;
   }
 }
 

@@ -1,47 +1,28 @@
 // Multi-process stage execution over Unix-domain sockets.
 //
-// ProcessExecutor is the first backend that runs stage bodies in real OS
-// processes, turning the engine's "modeled executors" into actual workers.
-// Per stage it forks N children (round-robin task assignment, deterministic),
-// each of which runs its tasks sequentially on its only thread and ships
-// every completed task back as one checksummed wire frame (ipc/wire.hpp);
-// the coordinator absorbs frames through the stage's StageIO contract.
+// ProcessExecutor is the backend that runs stage work in real OS processes,
+// turning the engine's "modeled executors" into actual workers. It owns the
+// job's one routing decision:
 //
-// Fork-per-stage is what makes arbitrary C++ closures shippable: the child
-// inherits the body, its captured RDD partitions, and the FaultInjector via
-// copy-on-write, so nothing is serialized on the way *in* — only declared
-// task outputs come back. The costs of that choice are contained here:
+//   * A stage that carries a PoolStagePlan (kernel pointer plus closure
+//     bytes) runs on the job-lifetime WorkerPool (dataflow/ipc/pool.hpp): N
+//     worker processes forked once, at the first planned stage, that keep
+//     output partitions resident between stages.
+//   * Every other stage — closures that are not trivially copyable, spill
+//     I/O, cache bookkeeping — runs its body in-process on the embedded
+//     LocalExecutor. The transformation layer has already pulled any
+//     worker-resident inputs such a stage needs back to the coordinator.
 //
-//   * Children must never touch the parent's thread pool (its workers do
-//     not exist after fork) — bodies run inline on the child's main thread.
-//   * Children exit with _exit(), never exit(): running atexit handlers or
-//     flushing inherited stdio in a forked copy corrupts the parent's state.
-//   * A child closes every other worker's parent-side socket before running
-//     tasks; an inherited duplicate would keep a dead sibling's socket open
-//     and mask the EOF that death detection relies on.
-//   * Engine state mutated in a child (metrics, counters, spill counters)
-//     lands in the child's COW copy and is discarded — everything the
-//     coordinator needs rides the wire frame.
-//
-// Failure model: a worker that dies (socket EOF or a corrupt frame —
-// indistinguishable from SIGKILL mid-write, and treated the same) charges
-// one attempt to each of its unfinished tasks, exactly like an injected
-// task kill under the local backend. If any task's budget survives, a
-// replacement worker (incarnation + 1) is forked for the remainder;
-// FaultInjector::kill_worker only fires at incarnation 0, so planned kills
-// always recover deterministically. A task whose budget is exhausted fails
-// the stage with the same TaskFailure the local backend throws.
-//
-// Stages without a StageIO contract (spill I/O, in-memory cache bookkeeping)
-// and TSan builds (fork of a multithreaded process deadlocks the sanitizer
-// runtime) fall back to the in-process LocalExecutor path.
+// Either way the stage's outputs and metrics are byte-identical to the local
+// backend's, which stays the oracle. TSan builds (fork of a multithreaded
+// process deadlocks the sanitizer runtime) never construct this backend;
+// the engine downgrades a process policy to the local one.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 
 #include "dataflow/executor.hpp"
-#include "util/exec_policy.hpp"
 
 namespace drapid {
 
@@ -53,13 +34,9 @@ bool process_executor_supported();
 
 class ProcessExecutor : public Executor {
  public:
-  /// `workers` is clamped to at least 1. In PoolMode::kStage each stage
-  /// forks at most min(workers, tasks) children (PR 7 fork-per-stage,
-  /// preserved verbatim as the comparison oracle). In PoolMode::kJob (the
-  /// default) a job-lifetime WorkerPool of exactly `workers` processes is
-  /// forked at the first pooled stage and reused until destruction.
-  ProcessExecutor(Engine& engine, std::size_t workers,
-                  PoolMode pool = PoolMode::kJob);
+  /// `workers` is clamped to at least 1: the pool forks exactly that many
+  /// processes at the first planned stage and reuses them until destruction.
+  ProcessExecutor(Engine& engine, std::size_t workers);
   ~ProcessExecutor() override;
 
   const char* name() const override { return "process"; }
@@ -68,13 +45,9 @@ class ProcessExecutor : public Executor {
   PoolResidency* residency() override;
 
  private:
-  void run_stage_tasks_forked(StageRun run);  ///< PR 7 fork-per-stage path
-
-  Engine& engine_;
   std::size_t workers_;
-  PoolMode mode_;
-  LocalExecutor local_;  ///< fallback for stages without a StageIO contract
-  std::unique_ptr<WorkerPool> pool_;  ///< kJob only; forks lazily
+  LocalExecutor local_;  ///< stages without a pool plan
+  std::unique_ptr<WorkerPool> pool_;  ///< forks lazily
 };
 
 }  // namespace drapid

@@ -1,7 +1,7 @@
-// Checksummed task-result framing for the process executor.
+// Checksummed framing for the process backend's worker pool.
 //
-// A worker child ships each completed task back to the coordinator as one
-// frame over its Unix-domain socket. The format deliberately reuses the
+// The coordinator and each pool worker talk in frames over one Unix-domain
+// socket per worker. The format deliberately reuses the
 // spill-file integrity scheme (util/checksum.hpp, PR 1): a leading 8-byte
 // magic, fixed u64 header words, a length-prefixed payload, and a trailing
 // FNV-1a checksum folded over every byte between magic and checksum. The
@@ -10,9 +10,9 @@
 // — so a worker SIGKILLed mid-write is indistinguishable from socket EOF
 // and recovers through the same retry path.
 //
-// The header also carries the task's TaskMetrics counters: bodies run in
-// the child, so the counters they mutate live in the child's copy-on-write
-// heap and must ride the wire back with the payload.
+// The header also carries the task's TaskMetrics counters: kernels run in
+// the worker, so the counters they fill live in the worker's heap and must
+// ride the wire back with the payload.
 #pragma once
 
 #include <cstddef>
@@ -44,10 +44,12 @@ struct WireError : std::runtime_error {
 };
 
 enum class FrameKind : std::uint64_t {
-  kResult = 0,  ///< task completed; payload = StageIO::serialize output
-  kError = 1,   ///< body threw; payload = exception message
+  /// Worker -> parent: task completed. The data stays resident; the payload
+  /// is the output's byte size (u64) for narrow stages, empty for wide ones.
+  kResult = 0,
+  kError = 1,  ///< task or request failed; payload = exception message
 
-  // Pool-mode frames (PR 10). The 14-word header layout is unchanged; any
+  // Stage-protocol frames (PR 10). They share the 14-word header; any
   // kind-specific metadata (set ids, source indices, stage names) rides
   // inside the payload through the value codecs below.
   kStageBegin = 2,   ///< parent -> worker: stage name, kind, kernel, closure
@@ -118,9 +120,9 @@ DecodeStatus try_decode_frame(const char* data, std::size_t size,
                               TaskFrame& out, std::size_t& consumed);
 
 // ---------------------------------------------------------------------------
-// Value codecs: the vocabulary StageIO contracts are built from. Every
-// codec is an exact round-trip (decode(encode(x)) == x, byte for byte),
-// which is what makes process-backend stage outputs byte-identical to
+// Value codecs: the vocabulary pool kernels and frame payloads are built
+// from. Every codec is an exact round-trip (decode(encode(x)) == x, byte for
+// byte), which is what makes process-backend stage outputs byte-identical to
 // locally-computed ones.
 
 class WireWriter {

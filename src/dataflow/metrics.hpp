@@ -57,22 +57,22 @@ struct StageMetrics {
 
   // Process-backend activity for this stage (all zero under the local
   // backend or when the stage fell back to in-process execution).
-  /// Worker processes forked for this stage, replacements included.
+  /// Worker processes forked for this stage, replacements included (the
+  /// job's first pooled stage forks the whole pool).
   std::size_t workers_used = 0;
   /// Worker processes that died (socket EOF / corrupt frame) mid-stage.
   std::size_t worker_deaths = 0;
-  /// Frame bytes that crossed the worker sockets for this stage. Under the
-  /// fork-per-stage path this counts result frames (the only traffic); the
-  /// job pool counts both directions — task assigns, shuffle pushes and
-  /// their relayed copies, fetches, results.
+  /// Frame bytes that crossed the worker sockets for this stage, both
+  /// directions — task assigns, shuffle pushes and their relayed copies,
+  /// fetches, results.
   std::size_t ipc_bytes = 0;
-  /// Job-pool workers that served this stage without being freshly forked
-  /// for it (the amortized fork tax; 0 under fork-per-stage).
+  /// Pool workers that served this stage without being freshly forked for
+  /// it (the amortized fork tax).
   std::size_t pool_reuses = 0;
   /// Serialized bytes of this stage's output partitions left resident on
   /// the workers instead of being shipped to the coordinator.
   std::size_t resident_bytes = 0;
-  /// Replacement workers forked after a mid-stage death (job pool).
+  /// Replacement workers forked after a mid-stage death.
   std::size_t worker_respawns = 0;
 
   /// Measured wall-clock seconds the stage's execution took (stamped by

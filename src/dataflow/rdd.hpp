@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "dataflow/engine.hpp"
-#include "dataflow/ipc/wire.hpp"  // value codecs backing StageIO contracts
+#include "dataflow/ipc/wire.hpp"  // value codecs backing pool kernels
 #include "util/flat_hash.hpp"  // stable_hash + the per-partition hash tables
 
 namespace drapid {
@@ -139,7 +139,7 @@ struct Rdd {
   std::vector<std::vector<Pair>> partitions;
   /// id() of the HashPartitioner that laid this dataset out; 0 = unknown.
   std::uint64_t partitioner_id = 0;
-  /// Under the job-pool backend (PR 10) a transformation's output can stay
+  /// Under the process backend (PR 10) a transformation's output can stay
   /// resident in the worker processes instead of being shipped back: this
   /// handle names the worker-side partition set and the `partitions` vectors
   /// above are empty placeholders (sized for num_partitions()). All read
@@ -235,23 +235,6 @@ Rdd<K, V> parallelize(Engine& engine, std::vector<std::pair<K, V>> pairs,
 }
 
 namespace detail {
-/// StageIO contract for the common transformation shape "task p fills
-/// exactly parts[p]": serialize ships the slot's records (from wherever the
-/// body ran), absorb decodes them into the coordinator's slot. The wire
-/// codecs round-trip every record byte-exactly, so a partition absorbed
-/// from a worker process is indistinguishable from one computed in-process.
-template <typename T>
-StageIO vector_io(std::vector<std::vector<T>>& parts) {
-  StageIO io;
-  io.serialize = [&parts](std::size_t p) {
-    return ipc::encode_payload(parts[p]);
-  };
-  io.absorb = [&parts](std::size_t p, const std::string& bytes) {
-    parts[p] = ipc::decode_payload<T>(bytes);
-  };
-  return io;
-}
-
 template <typename K, typename V>
 void record_input(TaskMetrics& task, const std::vector<std::pair<K, V>>& part) {
   task.records_in = part.size();
@@ -267,7 +250,7 @@ void record_output(TaskMetrics& task,
 
 // --- Pooled stage kernels (PR 10) -------------------------------------------
 //
-// Under the job-pool process backend a stage cannot ship its body closure to
+// Under the process backend a stage cannot ship its body closure to
 // the workers (they forked before it existed), so each transformation also
 // compiles a *kernel*: a plain function that decodes its serialized inputs,
 // applies the trivially-copyable closure bytes from the ctx, and returns the
@@ -564,7 +547,7 @@ auto map_pairs(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
       plan.kernel = &detail::map_pairs_kernel<K, V, OutPair, FnT>;
       plan.closure = pool_closure_bytes<FnT>(fn);
       plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), {}, &plan);
+      engine.run_stage(stage, detail::unpooled_body(), &plan);
       out.resident = std::move(plan.out);
       return out;
     }
@@ -578,7 +561,7 @@ auto map_pairs(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
     out.partitions[p].reserve(src.partitions[p].size());
     for (const auto& kv : src.partitions[p]) out.partitions[p].push_back(fn(kv));
     detail::record_output(task, out.partitions[p]);
-  }, detail::vector_io(out.partitions));
+  });
   return out;
 }
 
@@ -598,7 +581,7 @@ auto map_values(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
       plan.kernel = &detail::map_values_kernel<K, V, V2, FnT>;
       plan.closure = pool_closure_bytes<FnT>(fn);
       plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), {}, &plan);
+      engine.run_stage(stage, detail::unpooled_body(), &plan);
       out.resident = std::move(plan.out);
       return out;
     }
@@ -614,7 +597,7 @@ auto map_values(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
       out.partitions[p].emplace_back(kv.first, fn(kv.second));
     }
     detail::record_output(task, out.partitions[p]);
-  }, detail::vector_io(out.partitions));
+  });
   return out;
 }
 
@@ -633,7 +616,7 @@ Rdd<K, V> filter_pairs(Engine& engine, const Rdd<K, V>& in, Pred&& pred,
       plan.kernel = &detail::filter_kernel<K, V, PredT>;
       plan.closure = pool_closure_bytes<PredT>(pred);
       plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), {}, &plan);
+      engine.run_stage(stage, detail::unpooled_body(), &plan);
       out.resident = std::move(plan.out);
       return out;
     }
@@ -648,7 +631,7 @@ Rdd<K, V> filter_pairs(Engine& engine, const Rdd<K, V>& in, Pred&& pred,
       if (pred(kv)) out.partitions[p].push_back(kv);
     }
     detail::record_output(task, out.partitions[p]);
-  }, detail::vector_io(out.partitions));
+  });
   return out;
 }
 
@@ -670,7 +653,7 @@ auto flat_map_metered(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
       plan.kernel = &detail::flat_map_kernel<K, V, OutPair, FnT>;
       plan.closure = pool_closure_bytes<FnT>(fn);
       plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), {}, &plan);
+      engine.run_stage(stage, detail::unpooled_body(), &plan);
       out.resident = std::move(plan.out);
       return out;
     }
@@ -691,7 +674,7 @@ auto flat_map_metered(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
       }
     }
     detail::record_output(task, out.partitions[p]);
-  }, detail::vector_io(out.partitions));
+  });
   return out;
 }
 
@@ -723,7 +706,7 @@ Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
     plan.closure = pool_closure_bytes(spec);
     plan.num_targets = targets;
     plan.inputs = detail::pool_inputs(in);
-    engine.run_stage(stage, detail::unpooled_body(), {}, &plan);
+    engine.run_stage(stage, detail::unpooled_body(), &plan);
     out.resident = std::move(plan.out);
     return out;
   }
@@ -760,29 +743,7 @@ Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
     }
     task.records_out = task.records_in;
     task.bytes_out = task.bytes_in;
-  }, [&] {
-    // Process-backend contract: ship the per-record routing map (4 bytes a
-    // record — the records themselves never cross; the placement pass below
-    // reads them from the coordinator's own copy of `in`) and rebuild the
-    // per-target counts from it on absorb.
-    StageIO io;
-    io.serialize = [&target_of](std::size_t p) {
-      return ipc::encode_payload(target_of[p]);
-    };
-    io.absorb = [&target_of, &counts, targets](std::size_t p,
-                                               const std::string& bytes) {
-      target_of[p] = ipc::decode_payload<std::uint32_t>(bytes);
-      auto& count = counts[p];
-      count.assign(targets, 0);
-      for (const std::uint32_t t : target_of[p]) {
-        if (t >= targets) {
-          throw ipc::WireError("partition_by routing target out of range");
-        }
-        ++count[t];
-      }
-    };
-    return io;
-  }());
+  });
   // offsets[s][t] = where source s's run starts inside target t.
   std::vector<std::vector<std::size_t>> offsets(
       sources, std::vector<std::size_t>(targets, 0));
@@ -833,7 +794,7 @@ Rdd<K, Agg> aggregate_by_key(Engine& engine, const Rdd<K, V>& in,
       detail::CombineSpec<Agg, FoldT> spec{init, fold};
       plan.closure = pool_closure_bytes(spec);
       plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), {}, &plan);
+      engine.run_stage(stage, detail::unpooled_body(), &plan);
       combined.resident = std::move(plan.out);
       pooled_combine = true;
     }
@@ -848,7 +809,7 @@ Rdd<K, Agg> aggregate_by_key(Engine& engine, const Rdd<K, V>& in,
       plan.kernel = &detail::combine_default_kernel<K, V, Agg, FoldT>;
       plan.closure = pool_closure_bytes<FoldT>(fold);
       plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), {}, &plan);
+      engine.run_stage(stage, detail::unpooled_body(), &plan);
       combined.resident = std::move(plan.out);
       pooled_combine = true;
     }
@@ -872,7 +833,7 @@ Rdd<K, Agg> aggregate_by_key(Engine& engine, const Rdd<K, V>& in,
       }
       combined.partitions[p] = local.take_entries();
       detail::record_output(task, combined.partitions[p]);
-    }, detail::vector_io(combined.partitions));
+    });
   }
 
   const bool copartitioned =
@@ -895,7 +856,7 @@ Rdd<K, Agg> aggregate_by_key(Engine& engine, const Rdd<K, V>& in,
       plan.kernel = &detail::merge_kernel<K, Agg, MergeT>;
       plan.closure = pool_closure_bytes<MergeT>(merge);
       plan.inputs = detail::pool_inputs(shuffled);
-      engine.run_stage(merge_stage, detail::unpooled_body(), {}, &plan);
+      engine.run_stage(merge_stage, detail::unpooled_body(), &plan);
       out.resident = std::move(plan.out);
       return out;
     }
@@ -914,7 +875,7 @@ Rdd<K, Agg> aggregate_by_key(Engine& engine, const Rdd<K, V>& in,
     }
     out.partitions[p] = local.take_entries();
     detail::record_output(task, out.partitions[p]);
-  }, detail::vector_io(out.partitions));
+  });
   return out;
 }
 
@@ -924,7 +885,7 @@ Rdd<K, V> reduce_by_key(Engine& engine, const Rdd<K, V>& in, Reduce&& reduce,
                         const HashPartitioner& partitioner,
                         const std::string& name = "reduce_by_key") {
   // `reduce` is captured by value so the fold/merge closures stay trivially
-  // copyable whenever it is — the property that lets the job-pool backend
+  // copyable whenever it is — the property that lets the process backend
   // ship them to resident workers as raw bytes.
   auto wrapped = aggregate_by_key(
       engine, in, std::optional<V>{},
@@ -991,7 +952,7 @@ Rdd<K, std::pair<V, std::optional<W>>> left_outer_join(
       detail::fill_pool_input(refs[1], right, task);
       return refs;
     };
-    engine.run_stage(stage, detail::unpooled_body(), {}, &plan);
+    engine.run_stage(stage, detail::unpooled_body(), &plan);
     out.resident = std::move(plan.out);
     return out;
   }
@@ -1028,7 +989,7 @@ Rdd<K, std::pair<V, std::optional<W>>> left_outer_join(
       }
     }
     detail::record_output(task, out.partitions[p]);
-  }, detail::vector_io(out.partitions));
+  });
   return out;
 }
 

@@ -74,7 +74,7 @@ CachedStringRdd::CachedStringRdd(Engine& engine, StringRdd rdd,
   }
   spilled_ = true;
   // Spill writes walk the partitions directly, and the spill stage runs
-  // without a StageIO contract (in-process on every backend) — pull any
+  // without a pool plan (in-process on every backend) — pull any
   // worker-resident partitions back to the driver first.
   ensure_local(rdd);
   files_.resize(rdd.num_partitions());

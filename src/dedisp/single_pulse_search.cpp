@@ -457,7 +457,7 @@ std::vector<SinglePulseEvent> single_pulse_search(
       span.arg("events", static_cast<std::int64_t>(found[i].size()));
     }
   };
-  const std::size_t sweep_threads = params.sweep_threads();
+  const std::size_t sweep_threads = params.exec.threads_per_worker;
   if (sweep_threads > 1 && sweep.plans.size() > 1) {
     ThreadPool pool(sweep_threads);
     pool.parallel_for(sweep.plans.size(), run_plan);

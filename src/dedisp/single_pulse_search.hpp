@@ -166,11 +166,9 @@ struct SinglePulseSearchParams {
   std::vector<int> boxcar_widths = {1, 2, 4, 8, 16, 32};
   /// Trial stride over the grid (1 = every trial; larger = faster scans).
   std::size_t dm_stride = 1;
-  /// Deprecated shim for exec: worker threads for the DM sweep (1 = run on
-  /// the calling thread). Ignored when exec.threads_per_worker is set.
-  std::size_t threads = 1;
-  /// Execution policy for the sweep; the DM sweep always runs in-process
-  /// (only its pool width applies), so only threads_per_worker matters here.
+  /// Execution policy for the sweep. The DM sweep always runs in-process,
+  /// so only threads_per_worker matters here (1 = run on the calling
+  /// thread). Sweep output is byte-identical at any width.
   ExecPolicy exec;
   /// Dedispersion method. kExact stays the default (and the oracle);
   /// kSubband is the two-stage fast path with identical detected events.
@@ -189,11 +187,6 @@ struct SinglePulseSearchParams {
   /// all channels active. Masked channels contribute neither samples nor
   /// tail-normalization counts.
   std::vector<std::uint8_t> channel_mask;
-
-  /// Pool width after the deprecation shim: exec.threads_per_worker if set,
-  /// else the legacy `threads` field. Sweep output is byte-identical at any
-  /// width.
-  std::size_t sweep_threads() const { return exec.resolve_threads(threads); }
 };
 
 /// Reusable matched-filter workspace: boxcar prefix sums, the certificate
@@ -249,10 +242,10 @@ std::vector<SinglePulseEvent> merge_plan_events(
 
 /// The full phase-2+3 search: one shift-plan sweep over the (strided) grid.
 /// Duplicate shift vectors are dedispersed once, unique plans run on
-/// `params.threads` workers, and events are merged in trial order — output
-/// is sorted by (dm, time) like the survey simulator's SPE lists, ready for
-/// DBSCAN + RAPID, and byte-identical to a per-trial loop at any thread
-/// count. Emits `dedisp.*` spans and counters through src/obs.
+/// `params.exec.threads_per_worker` workers, and events are merged in trial
+/// order — output is sorted by (dm, time) like the survey simulator's SPE
+/// lists, ready for DBSCAN + RAPID, and byte-identical to a per-trial loop
+/// at any thread count. Emits `dedisp.*` spans and counters through src/obs.
 std::vector<SinglePulseEvent> single_pulse_search(
     const Filterbank& fb, const DmGrid& grid,
     const SinglePulseSearchParams& params = {});

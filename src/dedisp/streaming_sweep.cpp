@@ -51,8 +51,8 @@ StreamingSweep::StreamingSweep(const FilterbankConfig& config,
   }
   carry_.assign(channels_ * max_shift_, 0.0f);
   const std::size_t tasks = std::max(sweep_.plans.size(), partials_.size());
-  if (params_.sweep_threads() > 1 && tasks > 1) {
-    pool_ = std::make_unique<ThreadPool>(params_.sweep_threads());
+  if (params_.exec.threads_per_worker > 1 && tasks > 1) {
+    pool_ = std::make_unique<ThreadPool>(params_.exec.threads_per_worker);
   }
 }
 

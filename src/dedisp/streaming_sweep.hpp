@@ -58,8 +58,8 @@ class StreamingSweep {
   /// the channel count/band/sampling AND the total sample count (shift
   /// clamping and tail normalization depend on it), exactly like the
   /// one-shot sweep. `grid`/`params` as in single_pulse_search(); the grid
-  /// is copied. With params.threads > 1 a worker pool fans the per-plan
-  /// accumulation and detection out.
+  /// is copied. With params.exec.threads_per_worker > 1 a worker pool fans
+  /// the per-plan accumulation and detection out.
   StreamingSweep(const FilterbankConfig& config, const DmGrid& grid,
                  const SinglePulseSearchParams& params = {});
   ~StreamingSweep();

@@ -352,7 +352,7 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
   const std::size_t n = fb.num_samples();
   const std::size_t num_groups = sub.groups.size();
   const std::size_t num_plans = sweep.plans.size();
-  const std::size_t sweep_threads = params.sweep_threads();
+  const std::size_t sweep_threads = params.exec.threads_per_worker;
   std::unique_ptr<ThreadPool> pool;
   if (sweep_threads > 1) pool = std::make_unique<ThreadPool>(sweep_threads);
   const auto for_each = [&](std::size_t count, const auto& fn) {

@@ -79,7 +79,7 @@ StringRdd load_keyed_file(Engine& engine, BlockStore& store,
       refs[0].inline_bytes = chunks[task];
       return refs;
     };
-    engine.run_stage(stage, detail::unpooled_body(), {}, &plan);
+    engine.run_stage(stage, detail::unpooled_body(), &plan);
     rdd.resident = std::move(plan.out);
     return rdd;
   }
@@ -103,7 +103,7 @@ StringRdd load_keyed_file(Engine& engine, BlockStore& store,
     // scan cost (the cluster cost model prices these as CPU work).
     task.compute_cost = task.records_in + task.bytes_in / 32;
     detail::record_output(task, rdd.partitions[c]);
-  }, detail::vector_io(rdd.partitions));
+  });
   return rdd;
 }
 
@@ -361,7 +361,7 @@ DrapidResult run_drapid(Engine& engine, BlockStore& store,
                         sizeof(rapid_params));
     plan.closure += ipc::encode_payload(grid.plan());
     plan.inputs = detail::pool_inputs(joined);
-    engine.run_stage(stage, detail::unpooled_body(), {}, &plan);
+    engine.run_stage(stage, detail::unpooled_body(), &plan);
     ml_rows.resident = std::move(plan.out);
   } else {
     const DmGrid* grid_ptr = &grid;

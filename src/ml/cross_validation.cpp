@@ -97,7 +97,7 @@ CvResult cross_validate(
     fold_span.arg("test_seconds", fold_result.test_seconds);
   };
 
-  const std::size_t fold_threads = options.fold_threads();
+  const std::size_t fold_threads = options.exec.threads_per_worker;
   if (fold_threads > 1 && k > 1) {
     ThreadPool pool(fold_threads);
     pool.parallel_for(static_cast<std::size_t>(k), run_fold);

@@ -6,7 +6,7 @@
 // paper's 0.05 % positive rate.
 //
 // Folds are independent, so cross_validate can run them on a work-stealing
-// thread pool (CvOptions::threads). Results are identical for every thread
+// thread pool (CvOptions::exec). Results are identical for every thread
 // count: fold membership and each fold's transform RNG stream are drawn up
 // front, folds write only fold-local state, and totals are reduced in fold
 // order after all folds complete.
@@ -69,16 +69,10 @@ struct CvResult {
 using TrainTransform = std::function<Dataset(const Dataset&, Rng&)>;
 
 struct CvOptions {
-  /// Deprecated shim for exec: worker threads for fold evaluation; 1 =
-  /// serial. Ignored when exec.threads_per_worker is set.
-  std::size_t threads = 1;
-  /// Execution policy for fold evaluation; folds always run in-process, so
-  /// only threads_per_worker matters here.
+  /// Execution policy for fold evaluation. Folds always run in-process, so
+  /// only threads_per_worker matters here (1 = serial); any value yields
+  /// byte-identical results.
   ExecPolicy exec;
-
-  /// Pool width after the deprecation shim. Any value yields byte-identical
-  /// results.
-  std::size_t fold_threads() const { return exec.resolve_threads(threads); }
 };
 
 /// Runs k-fold CV with a fresh classifier per fold from `factory`; fold

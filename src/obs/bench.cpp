@@ -19,7 +19,7 @@ std::map<std::string, std::string> merged_spec(
   static const std::pair<const char*, const char*> kCore[] = {
       {"scale", "1"},      {"threads", "2"},  {"seed", "2018"},
       {"fault-rate", "0"}, {"backend", "local"}, {"workers", "0"},
-      {"pool", "job"},     {"trace-out", ""},    {"json-out", ""},
+      {"trace-out", ""},   {"json-out", ""},
   };
   for (const auto& [name, value] : kCore) extra.emplace(name, value);
   return extra;
@@ -54,7 +54,6 @@ BenchOptions::BenchOptions(std::string tool, int argc,
     return;
   }
   parse_exec_backend(opts_.str("backend"));  // reject typos at startup
-  parse_pool_mode(opts_.str("pool"));
   for (const auto& [name, value] : opts_.items()) {
     report_.set_config(name, typed_value(value));
   }

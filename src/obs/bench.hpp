@@ -46,20 +46,16 @@ class BenchOptions {
   double fault_rate() const { return opts_.number("fault-rate"); }
   const std::string& backend() const { return opts_.str("backend"); }
   long long workers() const { return opts_.integer("workers"); }
-  const std::string& pool() const { return opts_.str("pool"); }
 
   /// The resolved execution policy: --backend=local|process, --workers=N
-  /// worker processes (0 = backend default), --threads pool threads,
-  /// --pool=job|stage worker lifetime on the process backend. This is
-  /// the one struct benches thread into EngineConfig::exec — the legacy
-  /// per-bench thread knobs are shims over it now.
+  /// worker processes (0 = backend default), --threads pool threads. This
+  /// is the one struct benches thread into EngineConfig::exec.
   ExecPolicy exec_policy() const {
     ExecPolicy policy;
     policy.backend = parse_exec_backend(backend());
     policy.workers = static_cast<std::size_t>(workers() < 0 ? 0 : workers());
     policy.threads_per_worker =
         static_cast<std::size_t>(threads() < 1 ? 1 : threads());
-    policy.pool = parse_pool_mode(pool());
     return policy;
   }
   const std::string& trace_out() const { return opts_.str("trace-out"); }

@@ -42,7 +42,7 @@ struct StageReport {
   std::uint64_t workers_used = 0;
   std::uint64_t worker_deaths = 0;
   std::uint64_t ipc_bytes = 0;
-  /// Job-lifetime pool activity (all zero under fork-per-stage or local):
+  /// Job-lifetime pool activity (all zero on the local backend):
   /// tasks served by an already-forked worker, bytes of output partitions
   /// left resident in workers, and replacement workers forked after deaths.
   std::uint64_t pool_reuses = 0;

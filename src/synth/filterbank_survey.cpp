@@ -241,7 +241,7 @@ SimulatedObservation simulate_filterbank_observation(
 
   SinglePulseSearchParams params;
   params.snr_threshold = config.snr_threshold;
-  params.threads = options.threads;
+  params.exec.threads_per_worker = options.threads;
   params.dm_stride = options.dm_stride;
   params.rfi = options.rfi;
   out.data.events = single_pulse_search(fb, *config.grid, params);

@@ -31,7 +31,7 @@ struct FilterbankSurveyOptions {
   /// Per-channel amplitude of an injected pulse at S/N target `snr`, roughly
   /// snr * sqrt(width_samples) / sqrt(channels) scaled by this fudge.
   double amplitude_scale = 1.0;
-  /// Passed through to the sweep.
+  /// Sweep pool width (the sweep's exec.threads_per_worker).
   std::size_t threads = 1;
   std::size_t dm_stride = 1;
   /// RFI mitigation applied by the sweep (off by default, matching the

@@ -1,14 +1,11 @@
 // One execution policy for every parallelism knob in the system.
 //
-// Before PR 7 the repo had three independent ways to say "how parallel":
-// SinglePulseSearchParams::threads for the DM sweep, CvOptions::threads for
-// fold-parallel cross-validation, and EngineConfig::worker_threads (plus raw
-// pool sizes in benches) for the dataflow engine. ExecPolicy collapses them
-// into one struct — which backend runs the work, how many worker *processes*
-// the process backend forks, and how many pool *threads* each worker (or the
-// single local process) uses. The legacy knobs survive as deprecation shims:
-// a zero field defers to the old flag, so existing call sites and CLI flags
-// keep their exact behavior.
+// ExecPolicy says how parallel a piece of work runs: which backend runs it,
+// how many worker *processes* the process backend forks, and how many pool
+// *threads* the calling process uses. The dataflow engine
+// (EngineConfig::exec), the DM sweep (SinglePulseSearchParams::exec) and
+// fold-parallel cross-validation (CvOptions::exec) each take one and pick
+// their own default width: 4 threads for the engine, 1 for the other two.
 //
 // Lives in util (not dataflow) because the dedisp and ml layers consume it
 // without depending on the engine.
@@ -38,51 +35,24 @@ inline ExecBackend parse_exec_backend(const std::string& name) {
                            "' (expected local or process)");
 }
 
-/// Worker lifetime for the process backend.
-enum class PoolMode {
-  kJob,    ///< fork once, keep workers (and their partitions) across stages
-  kStage,  ///< fork-per-stage, ship every output up (the PR 7 oracle path)
-};
-
-inline const char* pool_mode_name(PoolMode mode) {
-  return mode == PoolMode::kStage ? "stage" : "job";
-}
-
-/// Parses "job" / "stage"; throws std::runtime_error on anything else.
-inline PoolMode parse_pool_mode(const std::string& name) {
-  if (name == "job") return PoolMode::kJob;
-  if (name == "stage") return PoolMode::kStage;
-  throw std::runtime_error("unknown worker pool mode: '" + name +
-                           "' (expected job or stage)");
-}
-
 struct ExecPolicy {
   ExecBackend backend = ExecBackend::kLocal;
   /// Worker processes for the process backend. 0 = derive from context
   /// (the engine uses its modeled executor count).
   std::size_t workers = 0;
-  /// In-process pool threads per worker. 0 = defer to the legacy knob the
-  /// call site used before ExecPolicy existed (its deprecation shim).
-  std::size_t threads_per_worker = 0;
-  /// Process-backend worker lifetime: a job-lifetime pool holding partitions
-  /// resident across stages (default), or the fork-per-stage oracle.
-  PoolMode pool = PoolMode::kJob;
+  /// In-process pool threads: the local backend's task pool, or on the
+  /// process backend the coordinator's pool for stages that run in-process
+  /// (pool workers run their tasks on one thread). 0 and 1 both mean one.
+  std::size_t threads_per_worker = 1;
 
   static ExecPolicy local(std::size_t threads) {
-    return {ExecBackend::kLocal, 0, threads, PoolMode::kJob};
+    return {ExecBackend::kLocal, 0, threads};
   }
   static ExecPolicy process(std::size_t workers,
-                            std::size_t threads_per_worker = 0,
-                            PoolMode pool = PoolMode::kJob) {
-    return {ExecBackend::kProcess, workers, threads_per_worker, pool};
+                            std::size_t threads_per_worker = 1) {
+    return {ExecBackend::kProcess, workers, threads_per_worker};
   }
 
-  /// The effective pool-thread count: this policy's threads_per_worker, or
-  /// the legacy flag value when unset. Shim direction is new-wins: setting
-  /// threads_per_worker overrides whatever the old knob says.
-  std::size_t resolve_threads(std::size_t legacy) const {
-    return threads_per_worker != 0 ? threads_per_worker : legacy;
-  }
   /// The effective process-worker count (`fallback` when unset).
   std::size_t resolve_workers(std::size_t fallback) const {
     return workers != 0 ? workers : fallback;

@@ -28,7 +28,7 @@ TEST(CatalogFromPopulation, CarriesEveryField) {
 TEST(CatalogLabeling, AgreesWithGroundTruthLabels) {
   EngineConfig engine_config;
   engine_config.num_executors = 3;
-  engine_config.worker_threads = 2;
+  engine_config.exec.threads_per_worker = 2;
   engine_config.partitions_per_core = 2;
   Engine engine(engine_config);
   BlockStore store(15);

@@ -21,7 +21,7 @@ TEST(EngineConfig, DerivedQuantities) {
 
 TEST(Engine, BeginStageAllocatesTaskSlots) {
   EngineConfig cfg;
-  cfg.worker_threads = 1;
+  cfg.exec.threads_per_worker = 1;
   Engine engine(cfg);
   auto& stage = engine.begin_stage("s1", 4);
   EXPECT_EQ(stage.name, "s1");
@@ -35,7 +35,7 @@ TEST(Engine, BeginStageAllocatesTaskSlots) {
 
 TEST(Engine, ResetMetricsClearsStages) {
   EngineConfig cfg;
-  cfg.worker_threads = 1;
+  cfg.exec.threads_per_worker = 1;
   Engine engine(cfg);
   engine.begin_stage("a", 1);
   engine.begin_stage("b", 1);
@@ -46,7 +46,7 @@ TEST(Engine, ResetMetricsClearsStages) {
 
 TEST(Engine, SpillPathsAreUniqueAndInsideTheEngineDir) {
   EngineConfig cfg;
-  cfg.worker_threads = 1;
+  cfg.exec.threads_per_worker = 1;
   Engine engine(cfg);
   std::set<std::string> paths;
   for (int i = 0; i < 50; ++i) {
@@ -60,7 +60,7 @@ TEST(Engine, SpillDirectoryIsRemovedOnDestruction) {
   std::string dir;
   {
     EngineConfig cfg;
-    cfg.worker_threads = 1;
+    cfg.exec.threads_per_worker = 1;
     Engine engine(cfg);
     const auto path = engine.next_spill_path();
     dir = std::filesystem::path(path).parent_path().string();
@@ -71,7 +71,7 @@ TEST(Engine, SpillDirectoryIsRemovedOnDestruction) {
 
 TEST(Engine, TwoEnginesUseSeparateSpillDirs) {
   EngineConfig cfg;
-  cfg.worker_threads = 1;
+  cfg.exec.threads_per_worker = 1;
   Engine a(cfg), b(cfg);
   const auto pa = std::filesystem::path(a.next_spill_path()).parent_path();
   const auto pb = std::filesystem::path(b.next_spill_path()).parent_path();
@@ -84,7 +84,7 @@ TEST(Engine, TwoEnginesUseSeparateSpillDirs) {
 // deque; references stay valid for the engine's lifetime.
 TEST(Engine, StageReferenceSurvivesNestedStages) {
   EngineConfig cfg;
-  cfg.worker_threads = 1;
+  cfg.exec.threads_per_worker = 1;
   Engine engine(cfg);
   auto& outer = engine.begin_stage("outer", 2);
   outer.tasks[0].records_in = 42;

@@ -108,7 +108,7 @@ TEST(FaultInjector, DeadNodesAreSortedUniqueAndBounded) {
 EngineConfig small_engine() {
   EngineConfig cfg;
   cfg.num_executors = 1;
-  cfg.worker_threads = 2;
+  cfg.exec.threads_per_worker = 2;
   cfg.partitions_per_core = 4;
   return cfg;
 }
@@ -341,7 +341,7 @@ TEST(DrapidFaults, JobSurvivesKillsCorruptionAndDeadNodeByteIdentically) {
     EngineConfig engine_cfg;
     engine_cfg.num_executors = 1;
     engine_cfg.cores_per_executor = 2;
-    engine_cfg.worker_threads = 2;
+    engine_cfg.exec.threads_per_worker = 2;
     engine_cfg.partitions_per_core = 4;
     engine_cfg.executor_memory_bytes = 64 << 10;  // spill for real
     engine_cfg.faults = std::move(faults);
@@ -395,7 +395,7 @@ TEST(DrapidFaults, RateBasedFaultsStillProduceIdenticalResults) {
     EngineConfig engine_cfg;
     engine_cfg.num_executors = 1;
     engine_cfg.cores_per_executor = 2;
-    engine_cfg.worker_threads = 2;
+    engine_cfg.exec.threads_per_worker = 2;
     engine_cfg.partitions_per_core = 4;
     engine_cfg.executor_memory_bytes = 64 << 10;
     engine_cfg.faults.seed = 13;

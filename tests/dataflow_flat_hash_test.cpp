@@ -106,7 +106,7 @@ EngineConfig test_config(std::size_t threads = 2) {
   EngineConfig cfg;
   cfg.num_executors = 4;
   cfg.cores_per_executor = 2;
-  cfg.worker_threads = threads;
+  cfg.exec.threads_per_worker = threads;
   cfg.partitions_per_core = 2;
   return cfg;
 }

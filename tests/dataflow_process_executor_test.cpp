@@ -1,15 +1,20 @@
 // ProcessExecutor suite: the multi-process backend must be a drop-in
 // replacement for the in-process pool — byte-identical stage outputs, the
-// same retry accounting under injected task kills, and lossless recovery
-// when a whole worker process is SIGKILLed mid-stage. Fork-based tests skip
-// themselves under ThreadSanitizer (fork + threads is undefined there); the
-// engine itself falls back to LocalExecutor in those builds.
+// same retry accounting under injected task kills, lossless recovery when a
+// whole worker process is SIGKILLed mid-stage, and a teardown that leaves
+// no descriptor or child process behind. Fork-based tests skip themselves
+// under ThreadSanitizer (fork + threads is undefined there); the engine
+// itself falls back to LocalExecutor in those builds.
 #include "dataflow/ipc/process_executor.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <filesystem>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -48,18 +53,19 @@ EngineConfig process_config(std::size_t workers) {
   return cfg;
 }
 
-// PR 7's fork-per-stage path, kept as the comparison oracle for the pool.
-EngineConfig stage_config(std::size_t workers) {
-  EngineConfig cfg = base_config();
-  cfg.exec = ExecPolicy::process(workers, 2, PoolMode::kStage);
-  return cfg;
-}
-
 double workers_alive_gauge() {
   for (const auto& [name, value] : obs::global_counters().gauges_snapshot()) {
     if (name == "engine.pool.workers_alive") return value;
   }
   return -1.0;
+}
+
+/// Descriptors this process holds open right now (the directory handle the
+/// count itself opens is included every time, so counts compare exactly).
+std::size_t open_fd_count() {
+  namespace fs = std::filesystem;
+  return static_cast<std::size_t>(std::distance(
+      fs::directory_iterator("/proc/self/fd"), fs::directory_iterator()));
 }
 
 EngineConfig local_config() {
@@ -133,8 +139,8 @@ TEST(ProcessExecutor, ShufflePipelineMatchesLocalByteForByte) {
   const auto actual = run_pipeline(process);
   ASSERT_EQ(actual.size(), expected.size());
   EXPECT_EQ(actual, expected);
-  // The process run really went over the wire: stages with codecs report
-  // forked workers and shipped bytes.
+  // The process run really went over the wire: pooled stages report forked
+  // workers and shipped bytes.
   std::size_t staged_ipc = 0, staged_workers = 0;
   for (const auto& stage : process.metrics().stages) {
     staged_ipc += stage.ipc_bytes;
@@ -235,29 +241,29 @@ TEST(ProcessExecutor, RepeatedDeathsExhaustTheAttemptBudget) {
 TEST(ProcessExecutor, ChildExceptionsPropagateToTheParent) {
   DRAPID_REQUIRE_FORK();
   Engine engine(process_config(2));
-  auto& stage = engine.begin_stage("buggy", 4);
-  std::vector<std::vector<int>> sink(4);
-  StageIO io;
-  io.serialize = [](std::size_t) { return std::string(); };
-  io.absorb = [&sink](std::size_t p, const std::string&) { sink[p].clear(); };
+  const auto rdd = parallelize(engine, make_pairs(40), 4);
   try {
-    engine.run_stage(stage,
-                     [](TaskContext& ctx) {
-                       if (ctx.partition() == 2) {
-                         throw std::runtime_error("boom in child");
-                       }
-                     },
-                     io);
+    // A stateless closure ships as a pool plan, so it throws in a worker.
+    map_pairs(
+        engine, rdd,
+        [](const std::pair<std::string, std::string>& kv) {
+          if (kv.first == "key2") throw std::runtime_error("boom in child");
+          return kv;
+        },
+        "buggy");
     FAIL() << "the child's exception must cross the socket";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("boom in child"), std::string::npos);
   }
+  EXPECT_EQ(engine.metrics().stages.back().name, "buggy");
+  EXPECT_GT(engine.metrics().stages.back().workers_used, 0u)
+      << "the stage must have run in the pool, not in-process";
 }
 
 TEST(ProcessExecutor, StagesWithoutCodecsRunInProcess) {
   DRAPID_REQUIRE_FORK();
-  // Spill and cache stages have no StageIO; they must keep running in the
-  // parent (side effects visible, no forks) even on the process backend.
+  // Spill and cache stages carry no pool plan; they must keep running in
+  // the parent (side effects visible, no forks) even on the process backend.
   Engine engine(process_config(2));
   auto& stage = engine.begin_stage("inproc", 4);
   std::atomic<int> touched{0};
@@ -270,30 +276,18 @@ TEST(ProcessExecutor, StagesWithoutCodecsRunInProcess) {
 
 // ----------------------------------------------------- job-lifetime pool
 
-TEST(WorkerPoolMode, JobAndStagePoolsMatchLocalByteForByte) {
+TEST(WorkerPoolMode, JobPoolMatchesLocalByteForByte) {
   DRAPID_REQUIRE_FORK();
-  // Large enough that data bytes dominate the pool's fixed control-frame
-  // overhead: fork-per-stage ships every stage's full output back, the pool
-  // ships the source in once, shuffles, and fetches only the final collect.
+  // The pool ships the source in once, shuffles worker to worker, and
+  // fetches only the final collect.
   const std::size_t kPairs = 6000;
   Engine local(local_config());
   const auto expected = run_pipeline(local, kPairs);
 
-  Engine staged(stage_config(2));
-  const auto stage_out = run_pipeline(staged, kPairs);
-  EXPECT_EQ(stage_out, expected);
-
   Engine pooled(process_config(2));
   const auto job_out = run_pipeline(pooled, kPairs);
   EXPECT_EQ(job_out, expected);
-
-  // The whole point of the pool: results stay resident in the workers, so
-  // far fewer bytes cross the sockets than under fork-per-stage.
-  const std::size_t stage_ipc = staged.metrics().total_ipc_bytes();
-  const std::size_t job_ipc = pooled.metrics().total_ipc_bytes();
-  EXPECT_GT(stage_ipc, 0u);
-  EXPECT_GT(job_ipc, 0u);
-  EXPECT_LT(job_ipc, stage_ipc);
+  EXPECT_GT(pooled.metrics().total_ipc_bytes(), 0u);
 
   std::size_t reuses = 0, resident = 0;
   for (const auto& s : pooled.metrics().stages) {
@@ -302,10 +296,6 @@ TEST(WorkerPoolMode, JobAndStagePoolsMatchLocalByteForByte) {
   }
   EXPECT_GT(reuses, 0u) << "later stages must reuse the forked workers";
   EXPECT_GT(resident, 0u) << "outputs must stay worker-resident";
-  for (const auto& s : staged.metrics().stages) {
-    EXPECT_EQ(s.pool_reuses, 0u) << s.name;
-    EXPECT_EQ(s.resident_bytes, 0u) << s.name;
-  }
 }
 
 TEST(WorkerPoolMode, PoolForksOnceForTheWholeJob) {
@@ -314,7 +304,7 @@ TEST(WorkerPoolMode, PoolForksOnceForTheWholeJob) {
   run_pipeline(engine);
   // Exactly the two pool workers are ever forked: the first pooled stage
   // spawns them (workers_used = 2) and every later stage reuses them
-  // (workers_used = 0). Fork-per-stage would charge every stage.
+  // (workers_used = 0).
   std::size_t forked = 0;
   for (const auto& s : engine.metrics().stages) forked += s.workers_used;
   EXPECT_EQ(forked, 2u);
@@ -342,14 +332,34 @@ TEST(WorkerPoolMode, KillMidJobRebuildsResidentPartitions) {
 
 TEST(WorkerPoolMode, CleanShutdownDrainsThePool) {
   DRAPID_REQUIRE_FORK();
-  {
-    Engine engine(process_config(2));
-    run_pipeline(engine);
-    EXPECT_EQ(workers_alive_gauge(), 2.0)
-        << "both pool workers alive while the engine lives";
+  // Teardown must leak nothing, whether every worker lived to the end or
+  // one was SIGKILLed and replaced mid-job: no socket left open in the
+  // parent, no child left running or unreaped.
+  for (const bool kill : {false, true}) {
+    SCOPED_TRACE(kill ? "with a worker kill" : "clean run");
+    const std::size_t fds_before = open_fd_count();
+    {
+      EngineConfig cfg = process_config(2);
+      if (kill) cfg.faults.kill_workers.push_back({"aggregate_by_key", 0});
+      Engine engine(cfg);
+      run_pipeline(engine);
+      EXPECT_EQ(workers_alive_gauge(), 2.0)
+          << "both pool workers alive while the engine lives";
+      if (kill) {
+        EXPECT_GE(engine.metrics().total_worker_deaths(), 1u);
+      } else {
+        EXPECT_EQ(engine.metrics().total_worker_deaths(), 0u);
+      }
+    }
+    // Engine destruction sends kShutdown and reaps every worker.
+    EXPECT_EQ(workers_alive_gauge(), 0.0);
+    EXPECT_EQ(open_fd_count(), fds_before) << "a worker socket leaked";
+    int status = 0;
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1)
+        << "a worker process outlived the engine";
+    EXPECT_EQ(errno, ECHILD);
   }
-  // Engine destruction sends kShutdown and reaps every worker.
-  EXPECT_EQ(workers_alive_gauge(), 0.0);
 }
 
 // ------------------------------------------------ kill_worker plan semantics
@@ -367,30 +377,20 @@ TEST(FaultInjectorKillWorker, FiresOncePerStagePrefixAndWorker) {
       << "replacement incarnations must survive or recovery livelocks";
 }
 
-// --------------------------------------------------------- ExecPolicy shims
+// ---------------------------------------------------------------- ExecPolicy
 
-TEST(ExecPolicy, ShimsPreferNewKnobsOverLegacy) {
-  ExecPolicy policy;  // defaults: local backend, unset widths
+TEST(ExecPolicy, WorkersDeriveFromContextWhenUnset) {
+  ExecPolicy policy;  // defaults: local backend, workers from context
   EXPECT_EQ(policy.backend, ExecBackend::kLocal);
-  EXPECT_EQ(policy.resolve_threads(3), 3u);  // legacy wins when unset
   EXPECT_EQ(policy.resolve_workers(5), 5u);
   policy = ExecPolicy::process(4, 2);
   EXPECT_EQ(policy.backend, ExecBackend::kProcess);
-  EXPECT_EQ(policy.resolve_threads(8), 2u);  // new knob wins
+  EXPECT_EQ(policy.threads_per_worker, 2u);
   EXPECT_EQ(policy.resolve_workers(8), 4u);
   EXPECT_EQ(parse_exec_backend("local"), ExecBackend::kLocal);
   EXPECT_EQ(parse_exec_backend("process"), ExecBackend::kProcess);
   EXPECT_THROW(parse_exec_backend("cloud"), std::runtime_error);
   EXPECT_EQ(std::string(exec_backend_name(ExecBackend::kProcess)), "process");
-}
-
-TEST(ExecPolicy, PoolModeParsesAndDefaultsToJob) {
-  EXPECT_EQ(ExecPolicy::process(2, 1).pool, PoolMode::kJob);
-  EXPECT_EQ(parse_pool_mode("job"), PoolMode::kJob);
-  EXPECT_EQ(parse_pool_mode("stage"), PoolMode::kStage);
-  EXPECT_THROW(parse_pool_mode("forever"), std::runtime_error);
-  EXPECT_EQ(std::string(pool_mode_name(PoolMode::kJob)), "job");
-  EXPECT_EQ(std::string(pool_mode_name(PoolMode::kStage)), "stage");
 }
 
 // ------------------------------------------------- end-to-end acceptance

@@ -17,7 +17,7 @@ EngineConfig test_config(std::size_t executors = 4) {
   EngineConfig cfg;
   cfg.num_executors = executors;
   cfg.cores_per_executor = 2;
-  cfg.worker_threads = 2;
+  cfg.exec.threads_per_worker = 2;
   cfg.partitions_per_core = 2;
   return cfg;
 }
@@ -282,7 +282,7 @@ class PipelineDeterminism : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(PipelineDeterminism, LayoutIndependentOfThreads) {
   const auto run = [&](std::size_t threads) {
     EngineConfig cfg = test_config();
-    cfg.worker_threads = threads;
+    cfg.exec.threads_per_worker = threads;
     Engine engine(cfg);
     HashPartitioner part{8};
     auto rdd = partition_by(

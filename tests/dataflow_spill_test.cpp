@@ -20,7 +20,7 @@ EngineConfig config_with_budget(std::size_t bytes) {
   EngineConfig cfg;
   cfg.num_executors = 1;
   cfg.executor_memory_bytes = bytes;
-  cfg.worker_threads = 2;
+  cfg.exec.threads_per_worker = 2;
   return cfg;
 }
 
@@ -84,7 +84,7 @@ TEST(Spill, BudgetScalesWithExecutorCount) {
     EngineConfig cfg;
     cfg.num_executors = executors;
     cfg.executor_memory_bytes = 4096;
-    cfg.worker_threads = 2;
+    cfg.exec.threads_per_worker = 2;
     Engine engine(cfg);
     auto rdd = make_rdd(engine, 150, 80);
     CachedStringRdd cached(engine, std::move(rdd), "scale");

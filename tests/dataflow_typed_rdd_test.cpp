@@ -13,7 +13,7 @@ namespace {
 EngineConfig cfg() {
   EngineConfig c;
   c.num_executors = 3;
-  c.worker_threads = 2;
+  c.exec.threads_per_worker = 2;
   return c;
 }
 

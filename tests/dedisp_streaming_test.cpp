@@ -60,7 +60,7 @@ TEST(StreamingSweep, MatchesOneShotAcrossChunkSizesAndThreads) {
   const DmGrid grid({{0.0, 10.0, 0.01}, {10.0, 60.0, 0.1}});
   for (std::size_t threads : {1u, 2u, 8u}) {
     SinglePulseSearchParams params;
-    params.threads = threads;
+    params.exec.threads_per_worker = threads;
     const auto reference = single_pulse_search(fb, grid, params);
     ASSERT_FALSE(reference.empty());
     StreamingSweep probe(fb.config(), grid, params);
@@ -82,7 +82,7 @@ TEST(StreamingSweep, MatchesOneShotOnFineStepStridedGrid) {
   const DmGrid grid({{0.0, 8.0, 0.002}});
   SinglePulseSearchParams params;
   params.dm_stride = 3;
-  params.threads = 2;
+  params.exec.threads_per_worker = 2;
   const auto reference = single_pulse_search(fb, grid, params);
   const auto streamed = stream_in_chunks(fb, grid, params, 777);
   EXPECT_TRUE(events_identical(streamed, reference));
@@ -183,7 +183,7 @@ TEST(StreamingSweep, SubbandMatchesOneShotSubbandAcrossChunksAndThreads) {
   for (std::size_t threads : {1u, 2u, 8u}) {
     SinglePulseSearchParams params;
     params.method = SweepMethod::kSubband;
-    params.threads = threads;
+    params.exec.threads_per_worker = threads;
     const auto reference = single_pulse_search(fb, grid, params);
     ASSERT_FALSE(reference.empty());
     for (std::size_t chunk : {37u, 512u, 5000u}) {

@@ -59,7 +59,7 @@ std::vector<SinglePulseEvent> run(const Filterbank& fb, const DmGrid& grid,
   SinglePulseSearchParams params;
   params.method = method;
   params.subband_groups = groups;
-  params.threads = threads;
+  params.exec.threads_per_worker = threads;
   return single_pulse_search(fb, grid, params);
 }
 

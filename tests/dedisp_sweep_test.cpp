@@ -189,7 +189,7 @@ TEST(SinglePulseSearch, DeterministicAcrossThreadCounts) {
   SinglePulseSearchParams params;
   const auto serial = single_pulse_search(fb, grid, params);
   for (std::size_t threads : {2u, 8u}) {
-    params.threads = threads;
+    params.exec.threads_per_worker = threads;
     const auto parallel = single_pulse_search(fb, grid, params);
     EXPECT_TRUE(events_identical(serial, parallel))
         << "threads " << threads;

@@ -14,7 +14,7 @@ EngineConfig engine_config(std::size_t executors = 4) {
   EngineConfig cfg;
   cfg.num_executors = executors;
   cfg.cores_per_executor = 2;
-  cfg.worker_threads = 2;
+  cfg.exec.threads_per_worker = 2;
   cfg.partitions_per_core = 4;
   cfg.executor_memory_bytes = 64ull << 20;
   return cfg;
@@ -84,7 +84,7 @@ TEST(DrapidDriver, MatchesMultithreadedRapidResults) {
 TEST(DrapidDriver, RecordsAreDeterministicAcrossRuns) {
   const auto once = [](std::size_t threads) {
     EngineConfig cfg = engine_config();
-    cfg.worker_threads = threads;
+    cfg.exec.threads_per_worker = threads;
     Engine engine(cfg);
     BlockStore store(15);
     return run_full_pipeline(engine, store, small_pipeline(21)).result.records;

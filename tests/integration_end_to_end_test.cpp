@@ -15,7 +15,7 @@ namespace {
 EngineConfig small_engine() {
   EngineConfig cfg;
   cfg.num_executors = 3;
-  cfg.worker_threads = 2;
+  cfg.exec.threads_per_worker = 2;
   cfg.partitions_per_core = 2;
   return cfg;
 }

@@ -418,7 +418,7 @@ TEST(FoldParallelCv, IdenticalResultsForOneTwoAndEightThreads) {
         [](const Dataset& train, Rng& fold_rng) {
           return apply_smote(train, SmoteParams{}, fold_rng);
         },
-        &predictions, CvOptions{.threads = threads});
+        &predictions, CvOptions{.exec = ExecPolicy::local(threads)});
     return std::make_pair(result, predictions);
   };
 

@@ -19,7 +19,7 @@ namespace {
 EngineConfig small_engine() {
   EngineConfig cfg;
   cfg.num_executors = 1;
-  cfg.worker_threads = 2;
+  cfg.exec.threads_per_worker = 2;
   cfg.partitions_per_core = 4;
   return cfg;
 }

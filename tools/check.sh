@@ -51,7 +51,7 @@ fi
 # undefined under TSan, so process_executor_supported() reports false in
 # TSan builds — the engine falls back to LocalExecutor and the fork-only
 # tests GTEST_SKIP themselves instead of hanging the run. What remains
-# (wire codecs, ExecPolicy shims, backend fallback) still runs under TSan.
+# (wire codecs, ExecPolicy, backend fallback) still runs under TSan.
 TSAN_TARGETS=(
   util_thread_pool_test
   util_thread_pool_stress_test

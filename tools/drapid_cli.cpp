@@ -6,12 +6,13 @@
 //       fast_crafts and ska_mid presets include structured RFI
 //       (burst trains, carriers, swept chirps) with ground-truth labels
 //   drapid search --data FILE --clusters FILE --out FILE [--executors N]
-//                 [--backend local|process] [--workers N] [--pool job|stage]
+//                 [--backend local|process] [--workers N]
 //                 [--fault-rate R] [--fault-seed S] [--max-attempts K]
 //                 [--kill-worker STAGE:ID]
 //       runs the D-RAPID job on real files and writes the ML file;
-//       --backend=process executes stages in forked worker processes
-//       (candidate output is byte-identical to --backend=local);
+//       --backend=process executes stages on a job-lifetime pool of
+//       forked worker processes (candidate output is byte-identical to
+//       --backend=local);
 //       --fault-rate injects task kills, spill damage, and dead data nodes
 //       at rate R and lets retry + lineage recovery absorb them;
 //       --kill-worker SIGKILLs one process worker mid-stage
@@ -135,7 +136,6 @@ int cmd_search(int argc, const char* const argv[]) {
                             {"threads", "2"},
                             {"backend", "local"},
                             {"workers", "0"},
-                            {"pool", "job"},
                             {"kill-worker", ""},
                             {"fault-rate", "0"},
                             {"fault-seed", "24077"},
@@ -144,9 +144,9 @@ int cmd_search(int argc, const char* const argv[]) {
     std::cout << opts.usage(
         "drapid search",
         "Runs the D-RAPID dataflow job on --data and --clusters files and "
-        "writes the ML file; --backend=process runs stages in --workers "
-        "forked worker processes (0 = one per executor) with --pool=job "
-        "keeping one pool alive for the whole job; --fault-rate "
+        "writes the ML file; --backend=process runs stages on a pool of "
+        "--workers forked worker processes (0 = one per executor) kept "
+        "alive for the whole job; --fault-rate "
         "injects recoverable faults and --kill-worker STAGE:ID SIGKILLs a "
         "process worker mid-stage.");
     return 0;
@@ -158,17 +158,13 @@ int cmd_search(int argc, const char* const argv[]) {
   EngineConfig engine_config;
   engine_config.num_executors =
       static_cast<std::size_t>(opts.integer("executors"));
-  engine_config.worker_threads =
+  engine_config.exec.threads_per_worker =
       static_cast<std::size_t>(opts.integer("threads"));
   engine_config.max_task_attempts =
       static_cast<std::size_t>(opts.integer("max-attempts"));
   engine_config.exec.backend = parse_exec_backend(opts.str("backend"));
   engine_config.exec.workers =
       static_cast<std::size_t>(opts.integer("workers"));
-  // --pool=job keeps one worker pool alive for the whole job with output
-  // partitions resident in the workers; --pool=stage is the PR 7
-  // fork-per-stage path, preserved as the comparison oracle.
-  engine_config.exec.pool = parse_pool_mode(opts.str("pool"));
   // --kill-worker STAGE:ID deterministically SIGKILLs process-backend worker
   // ID during the first stage whose name starts with STAGE (recovered via
   // the retry budget; the local backend ignores it).
@@ -389,7 +385,8 @@ int cmd_sweep(int argc, const char* const argv[]) {
   SinglePulseSearchParams params;
   params.method = parse_sweep_method(opts.str("sweep"));
   params.subband_groups = static_cast<std::size_t>(opts.integer("groups"));
-  params.threads = static_cast<std::size_t>(opts.integer("threads"));
+  params.exec.threads_per_worker =
+      static_cast<std::size_t>(opts.integer("threads"));
   params.snr_threshold = opts.number("snr");
   params.dm_stride = static_cast<std::size_t>(opts.integer("stride"));
   params.rfi.policy = parse_mitigation_policy(opts.str("rfi"));
@@ -403,7 +400,7 @@ int cmd_sweep(int argc, const char* const argv[]) {
             << " trial DMs (" << sweep_method_name(params.method)
             << " sweep, " << kernels::dispatch_name() << " kernels, rfi="
             << mitigation_policy_name(params.rfi.policy) << ", "
-            << params.threads << " thread(s))\n"
+            << params.exec.threads_per_worker << " thread(s))\n"
             << "wrote " << events.size() << " events to " << opts.str("out")
             << '\n';
   return 0;
