@@ -1,12 +1,14 @@
 // Microbenchmarks for the dataflow substrate: partitioning, aggregation,
-// the co-partitioned join fast path vs the shuffling slow path, and the
-// spill round trip.
+// the co-partitioned join fast path vs the shuffling slow path, the spill
+// round trip, and the worker pool's data plane (frame checksum, chain-head
+// shipping).
 #include <benchmark/benchmark.h>
 
 #include "micro_support.hpp"
 
 #include "dataflow/rdd.hpp"
 #include "dataflow/spill.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace drapid {
@@ -88,6 +90,50 @@ void BM_PooledShuffle(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_PooledShuffle)->Args({10000, 2})->Args({10000, 4});
+
+// The word checksum every wire frame, spill file and archive segment is
+// verified with, over random bytes.
+void BM_WireChecksum(benchmark::State& state) {
+  std::string bytes(static_cast<std::size_t>(state.range(0)), '\0');
+  Rng rng(5);
+  for (auto& c : bytes) c = static_cast<char>(rng.below(256));
+  for (auto _ : state) {
+    Checksum sum;
+    sum.update(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(sum.digest());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_WireChecksum)->Arg(4 << 10)->Arg(1 << 20)->Arg(16 << 20);
+
+// A narrow stage over parent-held partitions on 3 pool workers: each
+// iteration encodes about 24 MB of chain-head bytes and ships them to the
+// workers, which keep the outputs resident. Wall time, since the work is
+// split between the parent and the worker processes.
+void BM_PooledChainHead(benchmark::State& state) {
+  EngineConfig cfg = bench_config();
+  cfg.exec = ExecPolicy::process(3, 1);
+  Engine engine(cfg);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  std::size_t bytes = 0;
+  for (std::size_t i = 0; i < 384; ++i) {
+    pairs.emplace_back("key" + std::to_string(i),
+                       std::string(64 << 10, static_cast<char>('a' + i % 26)));
+    bytes += pairs.back().first.size() + pairs.back().second.size();
+  }
+  const auto rdd = parallelize(engine, std::move(pairs), 12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(map_pairs(
+        engine, rdd,
+        [](const std::pair<std::string, std::string>& kv) { return kv; },
+        "chain_head"));
+    engine.reset_metrics();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_PooledChainHead)->UseRealTime();
 
 void BM_JoinCopartitioned(benchmark::State& state) {
   Engine engine(bench_config());

@@ -116,8 +116,9 @@ struct PoolInputRef {
   /// Resident set (owned partition `partition`), or nullptr for inline.
   std::shared_ptr<PoolSet> set;
   std::size_t partition = 0;
-  /// Inline payload, shipped down and recorded for lineage (chain heads).
-  std::string inline_bytes;
+  /// Inline payload (chain heads). The pool sends this buffer and records
+  /// it for lineage by reference; nobody copies it.
+  std::shared_ptr<const std::string> inline_bytes;
 };
 
 /// Everything the pool needs to run one stage without the body closure.

@@ -25,6 +25,7 @@ namespace drapid {
 namespace {
 
 using ipc::FrameKind;
+using ipc::FrameView;
 using ipc::TaskFrame;
 using ipc::WireReader;
 using ipc::WireWriter;
@@ -32,6 +33,11 @@ using ipc::WireWriter;
 constexpr std::uint64_t kDieBeforeFlag = 1;   ///< kTaskAssign flags bit
 constexpr std::uint64_t kInputInline = 0;     ///< kTaskAssign input modes
 constexpr std::uint64_t kInputResident = 1;
+
+/// Largest single read(2) from a pool socket, parent and worker alike.
+constexpr std::size_t kReadChunk = 1 << 20;
+/// Most iovecs handed to one sendmsg(2)/writev(2).
+constexpr std::size_t kMaxIov = 64;
 
 std::string permanent_failure_message(const std::string& stage,
                                       std::size_t partition,
@@ -142,9 +148,9 @@ bool child_send_parts(ChildState& st, const TaskFrame& frame,
   std::size_t idx = 0;
   std::size_t skip = 0;  // bytes of iov[idx] already written
   while (idx < iov.size()) {
-    iovec local[64];
+    iovec local[kMaxIov];
     std::size_t n = 0;
-    for (std::size_t i = idx; i < iov.size() && n < 64; ++i, ++n) {
+    for (std::size_t i = idx; i < iov.size() && n < kMaxIov; ++i, ++n) {
       local[n] = iov[i];
       if (i == idx && skip > 0) {
         local[n].iov_base = static_cast<char*>(local[n].iov_base) + skip;
@@ -172,8 +178,8 @@ bool child_send_parts(ChildState& st, const TaskFrame& frame,
   return true;
 }
 
-void child_handle_stage_begin(ChildState& st, const TaskFrame& frame) {
-  WireReader r(frame.payload);
+void child_handle_stage_begin(ChildState& st, const FrameView& frame) {
+  WireReader r(frame.payload, frame.payload_size);
   ChildStage s;
   s.wide = r.get_u64() != 0;
   s.kernel = reinterpret_cast<PoolKernelFn>(
@@ -189,8 +195,8 @@ void child_handle_stage_begin(ChildState& st, const TaskFrame& frame) {
 
 /// Runs one assigned task: the PR 7 attempt loop (same fault-draw sites,
 /// same attempt/retry_cost accounting), then the kernel instead of the body.
-void child_handle_assign(ChildState& st, const TaskFrame& frame) {
-  WireReader r(frame.payload);
+void child_handle_assign(ChildState& st, const FrameView& frame) {
+  WireReader r(frame.payload, frame.payload_size);
   const std::size_t p = static_cast<std::size_t>(frame.partition);
   const std::size_t attempt_base = static_cast<std::size_t>(r.get_u64());
   const std::uint64_t flags = r.get_u64();
@@ -305,8 +311,8 @@ void child_handle_assign(ChildState& st, const TaskFrame& frame) {
   if (!child_send(st, reply)) ::_exit(1);
 }
 
-void child_handle_push(ChildState& st, const TaskFrame& frame) {
-  WireReader r(frame.payload);
+void child_handle_push(ChildState& st, const FrameView& frame) {
+  WireReader r(frame.payload, frame.payload_size);
   const std::uint64_t set = r.get_u64();
   const std::uint64_t target = r.get_u64();
   const std::uint64_t source = r.get_u64();
@@ -319,8 +325,8 @@ void child_handle_push(ChildState& st, const TaskFrame& frame) {
       count, std::string(data, static_cast<std::size_t>(size))};
 }
 
-void child_handle_stage_end(ChildState& st, const TaskFrame& frame) {
-  WireReader r(frame.payload);
+void child_handle_stage_end(ChildState& st, const FrameView& frame) {
+  WireReader r(frame.payload, frame.payload_size);
   const std::uint64_t set = r.get_u64();
   const bool wide = r.get_u64() != 0;
   TaskFrame ack;
@@ -359,8 +365,8 @@ void child_handle_stage_end(ChildState& st, const TaskFrame& frame) {
   if (!child_send(st, ack)) ::_exit(1);
 }
 
-void child_handle_fetch(ChildState& st, const TaskFrame& frame) {
-  WireReader r(frame.payload);
+void child_handle_fetch(ChildState& st, const FrameView& frame) {
+  WireReader r(frame.payload, frame.payload_size);
   const std::uint64_t set = r.get_u64();
   const std::uint64_t part = r.get_u64();
   const auto set_it = st.resident.find(set);
@@ -398,25 +404,21 @@ void child_handle_fetch(ChildState& st, const TaskFrame& frame) {
   st.fd = fd;
   st.slot = slot;
   st.faults = &faults;
-  std::string buffer;
-  char buf[64 * 1024];
+  pooldetail::RecvBuffer buffer;
   while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    const ssize_t n = buffer.read_from(fd);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::_exit(1);
     }
     if (n == 0) ::_exit(0);  // parent vanished
-    buffer.append(buf, static_cast<std::size_t>(n));
-    std::size_t offset = 0;
     while (true) {
-      TaskFrame frame;
+      FrameView frame;
       std::size_t consumed = 0;
-      const auto status = ipc::try_decode_frame(
-          buffer.data() + offset, buffer.size() - offset, frame, consumed);
+      const auto status = ipc::try_decode_frame(buffer.data(), buffer.size(),
+                                                frame, consumed);
       if (status == ipc::DecodeStatus::kIncomplete) break;
       if (status == ipc::DecodeStatus::kCorrupt) ::_exit(1);
-      offset += consumed;
       try {
         switch (frame.kind) {
           case FrameKind::kStageBegin:
@@ -435,7 +437,7 @@ void child_handle_fetch(ChildState& st, const TaskFrame& frame) {
             child_handle_fetch(st, frame);
             break;
           case FrameKind::kRelease: {
-            WireReader r(frame.payload);
+            WireReader r(frame.payload, frame.payload_size);
             const std::uint64_t set = r.get_u64();
             st.resident.erase(set);
             st.staging.erase(set);
@@ -454,12 +456,51 @@ void child_handle_fetch(ChildState& st, const TaskFrame& frame) {
         child_send(st, err);
         ::_exit(1);
       }
+      buffer.consume(consumed);
     }
-    buffer.erase(0, offset);
   }
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// RecvBuffer: both ends' socket reads.
+
+namespace pooldetail {
+
+ssize_t RecvBuffer::read_from(int fd) {
+  if (cap_ - end_ < kReadChunk) {
+    const std::size_t pending = end_ - begin_;
+    if (cap_ - pending >= kReadChunk) {
+      std::memmove(buf_.get(), buf_.get() + begin_, pending);
+    } else {
+      // Grow geometrically: a frame larger than one read is assembled in
+      // place across reads, in amortized linear time.
+      const std::size_t cap = std::max(2 * cap_, pending + kReadChunk);
+      auto grown = std::make_unique_for_overwrite<char[]>(cap);
+      if (pending > 0) std::memcpy(grown.get(), buf_.get() + begin_, pending);
+      buf_ = std::move(grown);
+      cap_ = cap;
+    }
+    begin_ = 0;
+    end_ = pending;
+  }
+  const ssize_t n = ::read(fd, buf_.get() + end_, kReadChunk);
+  if (n > 0) end_ += static_cast<std::size_t>(n);
+  return n;
+}
+
+void RecvBuffer::consume(std::size_t n) {
+  begin_ += n;
+  if (begin_ == end_) begin_ = end_ = 0;
+}
+
+void RecvBuffer::clear() {
+  buf_.reset();
+  cap_ = begin_ = end_ = 0;
+}
+
+}  // namespace pooldetail
 
 // ---------------------------------------------------------------------------
 // PoolSet handle + engine-free accessors (declared in executor.hpp).
@@ -519,20 +560,25 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
   pooldetail::SetState& s = sets_.at(set);
   pooldetail::PartState& part = s.parts.at(partition);
   obs::global_counters().add("engine.pool_rebuilds");
-  const auto input_bytes = [&](const pooldetail::StoredInput& in) {
-    return in.set != 0 ? fetch(in.set, in.partition) : in.bytes;
+  // Chain-head bytes are read in place; other sets' partitions are fetched
+  // into `storage`.
+  const auto input_bytes = [&](const pooldetail::StoredInput& in,
+                               std::string& storage) -> const std::string* {
+    if (in.set == 0) return in.bytes.get();
+    storage = fetch(in.set, in.partition);
+    return &storage;
   };
   TaskMetrics scratch;  // lineage rebuilds charge no attempts, draw no faults
   std::string built;
   if (s.kind == PoolStagePlan::Kind::kNarrow) {
     const auto& refs = s.task_inputs.at(partition);
-    std::vector<std::string> held;
-    held.reserve(refs.size());
-    for (const auto& in : refs) held.push_back(input_bytes(in));
+    std::vector<std::string> fetched(refs.size());
     PoolTaskCtx ctx;
     ctx.partition = partition;
     ctx.closure = &s.closure;
-    for (const auto& h : held) ctx.inputs.push_back(&h);
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      ctx.inputs.push_back(input_bytes(refs[i], fetched[i]));
+    }
     ctx.metrics = &scratch;
     built = s.kernel(ctx);
   } else {
@@ -543,11 +589,11 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
     built.assign(sizeof(std::uint64_t), '\0');
     for (std::size_t src = 0; src < s.task_inputs.size(); ++src) {
       const auto& refs = s.task_inputs.at(src);
-      const std::string bytes = input_bytes(refs.at(0));
+      std::string fetched;
       PoolTaskCtx ctx;
       ctx.partition = src;
       ctx.closure = &s.closure;
-      ctx.inputs.push_back(&bytes);
+      ctx.inputs.push_back(input_bytes(refs.at(0), fetched));
       ctx.metrics = &scratch;
       ctx.num_targets = s.parts.size();
       const std::string bundle = s.kernel(ctx);
@@ -636,7 +682,10 @@ WorkerPool::~WorkerPool() {
 
 void WorkerPool::spawn(PoolWorker& w) {
   int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+  // Close-on-exec: a program the host execs later must not inherit the
+  // parent side, or a worker would never see EOF if the coordinator died.
+  // The workers themselves are forked, not exec'd, so they keep theirs.
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
     throw std::runtime_error(std::string("socketpair failed: ") +
                              std::strerror(errno));
   }
@@ -672,7 +721,7 @@ void WorkerPool::spawn(PoolWorker& w) {
   w.alive = true;
   w.ever_spawned = true;
   w.inbuf.clear();
-  w.outbuf.clear();
+  w.outq.clear();
   w.outpos = 0;
   engine_.workers_forked_counter_.add();
 }
@@ -695,7 +744,7 @@ void WorkerPool::retire(PoolWorker& w) {
   w.fd = -1;
   w.alive = false;
   w.inbuf.clear();
-  w.outbuf.clear();
+  w.outq.clear();
   w.outpos = 0;
   if (w.pid > 0) {
     int status = 0;
@@ -777,33 +826,59 @@ void WorkerPool::count_ipc(std::size_t bytes) {
   if (ctx_ != nullptr) ctx_->stage.ipc_bytes += bytes;
 }
 
-void WorkerPool::enqueue(PoolWorker& w, std::string bytes) {
+void WorkerPool::enqueue(PoolWorker& w,
+                         std::vector<pooldetail::OutChunk> chunks) {
   if (!w.alive) return;  // death recovery re-dispatches separately
-  count_ipc(bytes.size());
-  if (w.outbuf.empty()) {
-    w.outbuf = std::move(bytes);
-    w.outpos = 0;
-  } else {
-    w.outbuf.append(bytes);
+  std::size_t bytes = 0;
+  for (auto& chunk : chunks) {
+    const std::size_t size = chunk.bytes().size();
+    if (size == 0) continue;
+    bytes += size;
+    w.outq.push_back(std::move(chunk));
   }
+  count_ipc(bytes);
   flush(w);
 }
 
+void WorkerPool::enqueue(PoolWorker& w, std::string frame) {
+  std::vector<pooldetail::OutChunk> chunks(1);
+  chunks[0].owned = std::move(frame);
+  enqueue(w, std::move(chunks));
+}
+
 void WorkerPool::flush(PoolWorker& w) {
-  while (w.alive && w.outpos < w.outbuf.size()) {
-    const ssize_t n = ::send(w.fd, w.outbuf.data() + w.outpos,
-                             w.outbuf.size() - w.outpos, MSG_NOSIGNAL);
-    if (n < 0) {
+  while (w.alive && !w.outq.empty()) {
+    iovec iov[kMaxIov];
+    std::size_t n = 0;
+    std::size_t skip = w.outpos;  // resume mid-chunk after a partial write
+    for (auto it = w.outq.begin(); it != w.outq.end() && n < kMaxIov; ++it) {
+      const std::string_view bytes = it->bytes();
+      iov[n].iov_base = const_cast<char*>(bytes.data() + skip);
+      iov[n].iov_len = bytes.size() - skip;
+      skip = 0;
+      ++n;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n;
+    const ssize_t sent = ::sendmsg(w.fd, &msg, MSG_NOSIGNAL);
+    if (sent < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       handle_death(w);
       return;
     }
-    w.outpos += static_cast<std::size_t>(n);
-  }
-  if (w.alive && w.outpos == w.outbuf.size()) {
-    w.outbuf.clear();
-    w.outpos = 0;
+    std::size_t left = static_cast<std::size_t>(sent);
+    while (left > 0) {
+      const std::size_t head = w.outq.front().bytes().size() - w.outpos;
+      if (left < head) {
+        w.outpos += left;
+        break;
+      }
+      left -= head;
+      w.outq.pop_front();
+      w.outpos = 0;
+    }
   }
 }
 
@@ -813,7 +888,7 @@ void WorkerPool::pump() {
   for (const auto& w : workers_) {
     if (!w.alive) continue;
     short events = POLLIN;
-    if (w.outpos < w.outbuf.size()) events |= POLLOUT;
+    if (!w.outq.empty()) events |= POLLOUT;
     fds.push_back(pollfd{w.fd, events, 0});
     slots.push_back(w.slot);
   }
@@ -839,8 +914,8 @@ void WorkerPool::pump() {
 }
 
 void WorkerPool::read_and_dispatch(PoolWorker& w) {
-  char buf[64 * 1024];
-  const ssize_t n = ::read(w.fd, buf, sizeof(buf));
+  const int fd = w.fd;
+  const ssize_t n = w.inbuf.read_from(fd);
   if (n < 0) {
     if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return;
     handle_death(w);
@@ -853,42 +928,38 @@ void WorkerPool::read_and_dispatch(PoolWorker& w) {
     handle_death(w);
     return;
   }
-  w.inbuf.append(buf, static_cast<std::size_t>(n));
-  std::size_t offset = 0;
-  bool corrupt = false;
   while (true) {
-    ipc::TaskFrame frame;
+    FrameView frame;
     std::size_t consumed = 0;
-    const auto status = ipc::try_decode_frame(
-        w.inbuf.data() + offset, w.inbuf.size() - offset, frame, consumed);
-    if (status == ipc::DecodeStatus::kOk) {
-      dispatch_frame(w, frame, w.inbuf.data() + offset, consumed);
-      offset += consumed;
-      continue;
+    const auto status = ipc::try_decode_frame(w.inbuf.data(), w.inbuf.size(),
+                                              frame, consumed);
+    if (status == ipc::DecodeStatus::kIncomplete) return;
+    if (status == ipc::DecodeStatus::kCorrupt) {
+      // A worker emitting garbage is as dead as one that vanished: kill it
+      // for real, then recover through the same path.
+      ::kill(w.pid, SIGKILL);
+      handle_death(w);
+      return;
     }
-    if (status == ipc::DecodeStatus::kIncomplete) break;
-    corrupt = true;
-    break;
-  }
-  w.inbuf.erase(0, offset);
-  if (corrupt) {
-    // A worker emitting garbage is as dead as one that vanished: kill it
-    // for real, then recover through the same path.
-    ::kill(w.pid, SIGKILL);
-    handle_death(w);
+    dispatch_frame(w, frame, w.inbuf.data(), consumed);
+    // A dispatch that retired this slot also dropped its buffer.
+    if (!w.alive || w.fd != fd) return;
+    w.inbuf.consume(consumed);
   }
 }
 
-void WorkerPool::dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
+void WorkerPool::dispatch_frame(PoolWorker& w, const FrameView& frame,
                                 const char* raw, std::size_t consumed) {
   count_ipc(consumed);
   switch (frame.kind) {
-    case FrameKind::kError:
+    case FrameKind::kError: {
+      const std::string message(frame.payload, frame.payload_size);
       if (frame.error_kind == ipc::WireErrorKind::kTaskFailure) {
         engine_.failures_counter_.add();
-        throw TaskFailure(frame.payload);
+        throw TaskFailure(message);
       }
-      throw std::runtime_error(frame.payload);
+      throw std::runtime_error(message);
+    }
 
     case FrameKind::kResult: {
       if (ctx_ == nullptr) {
@@ -918,7 +989,7 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
             static_cast<std::int64_t>(frame.metrics.attempts - base));
       }
       if (!ctx.wide) {
-        ipc::WireReader r(frame.payload);
+        ipc::WireReader r(frame.payload, frame.payload_size);
         pooldetail::PartState& part = ctx.out_state->parts[p];
         part.owner = static_cast<int>(w.slot);
         part.bytes = static_cast<std::size_t>(r.get_u64());
@@ -933,13 +1004,15 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
       if (ctx_ == nullptr || !ctx_->wide) {
         throw std::runtime_error("worker pool: stray shuffle push");
       }
-      ipc::WireReader r(frame.payload);
+      // Only the target is read; the payload stays in the receive buffer.
+      ipc::WireReader r(frame.payload, frame.payload_size);
       r.get_u64();  // set (the in-flight stage's out set)
       const std::uint64_t target = r.get_u64();
       const std::size_t owner = static_cast<std::size_t>(target) % nworkers_;
-      // Relay the received frame bytes verbatim — no re-encode. Slots that
-      // already died this stage get nothing: their targets lost earlier
-      // segments with the old incarnation and will be parent-rebuilt.
+      // Relay the verified frame bytes verbatim — one copy, out of the
+      // receive buffer, no re-encode. Slots that already died this stage
+      // get nothing: their targets lost earlier segments with the old
+      // incarnation and will be parent-rebuilt.
       if (ctx_->stage_deaths[owner] == 0) {
         enqueue(workers_[owner], std::string(raw, consumed));
       }
@@ -951,7 +1024,7 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
         throw std::runtime_error("worker pool: stray stage-end ack");
       }
       StageCtx& ctx = *ctx_;
-      ipc::WireReader r(frame.payload);
+      ipc::WireReader r(frame.payload, frame.payload_size);
       r.get_u64();  // set
       const std::uint64_t n = r.get_u64();
       for (std::uint64_t i = 0; i < n; ++i) {
@@ -967,7 +1040,7 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
     }
 
     case FrameKind::kData: {
-      ipc::WireReader r(frame.payload);
+      ipc::WireReader r(frame.payload, frame.payload_size);
       const std::uint64_t set = r.get_u64();
       const std::uint64_t part = r.get_u64();
       const std::uint64_t size = r.get_u64();
@@ -1043,80 +1116,54 @@ void WorkerPool::send_assign(PoolWorker& w, std::size_t task,
   StageCtx& ctx = *ctx_;
   // Resolve each declared input against current residency: a partition
   // already resident on the assignee rides as a (set, partition) marker;
-  // everything else ships inline — parent cache, chain-head bytes, or a
-  // lineage rebuild if the holder died.
+  // everything else ships inline — chain-head bytes, the parent cache, or a
+  // lineage rebuild if the holder died. The frame is queued as chunks:
+  // header words accumulate in small owned chunks and every inline payload
+  // is sent by reference, so no payload byte is copied on the way out.
+  std::vector<pooldetail::OutChunk> chunks(1);  // [0] = frame header
+  const auto put_u64 = [&chunks](std::uint64_t v) {
+    if (chunks.size() == 1 || chunks.back().shared) chunks.emplace_back();
+    chunks.back().owned.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
   const auto& refs = ctx.inputs[task];
-  std::vector<std::string> pieces;
-  std::vector<ipc::FrameSpan> spans;
-  std::vector<const std::string*> payloads;  // parallel to spans
-  pieces.reserve(refs.size() + 1);
-  std::vector<std::string> fetched;
-  fetched.reserve(refs.size());
-  {
-    WireWriter pw;
-    pw.put_u64(attempt_base);
-    pw.put_u64(die_before ? kDieBeforeFlag : 0);
-    pw.put_u64(refs.size());
-    pieces.push_back(pw.take());
-  }
+  put_u64(attempt_base);
+  put_u64(die_before ? kDieBeforeFlag : 0);
+  put_u64(refs.size());
   for (const auto& ref : refs) {
-    const std::string* inline_bytes = nullptr;
+    std::shared_ptr<const std::string> payload = ref.inline_bytes;
     if (ref.set) {
       const pooldetail::PartState& part =
           core_->sets_.at(ref.set->id).parts.at(ref.partition);
       if (part.owner == static_cast<int>(w.slot) && w.alive) {
-        WireWriter pw;
-        pw.put_u64(kInputResident);
-        pw.put_u64(ref.set->id);
-        pw.put_u64(ref.partition);
-        pieces.push_back(pw.take());
+        put_u64(kInputResident);
+        put_u64(ref.set->id);
+        put_u64(ref.partition);
         continue;
       }
       // May pump (fetch from another worker) and even observe this very
       // worker dying; enqueue below then drops the frame and the death
       // path re-dispatches the task with a bumped attempt_base.
-      fetched.push_back(core_->fetch(ref.set->id, ref.partition));
-      inline_bytes = &fetched.back();
-    } else {
-      inline_bytes = &ref.inline_bytes;
+      payload = std::make_shared<const std::string>(
+          core_->fetch(ref.set->id, ref.partition));
     }
-    WireWriter pw;
-    pw.put_u64(kInputInline);
-    pw.put_u64(inline_bytes->size());
-    pieces.push_back(pw.take());
-    payloads.push_back(inline_bytes);
+    put_u64(kInputInline);
+    put_u64(payload->size());
+    chunks.emplace_back().shared = std::move(payload);
   }
-  // Interleave: pieces[0], then per input its mode piece (+ payload span for
-  // inline ones). Spans reference `pieces`/`fetched`/plan-held strings, all
-  // alive until the enqueue below.
-  std::size_t piece_idx = 0;
-  std::size_t payload_idx = 0;
-  spans.push_back({pieces[piece_idx].data(), pieces[piece_idx].size()});
-  piece_idx += 1;
-  for (const auto& ref : refs) {
-    spans.push_back({pieces[piece_idx].data(), pieces[piece_idx].size()});
-    const bool resident =
-        ref.set &&
-        pieces[piece_idx].size() == 3 * sizeof(std::uint64_t);
-    piece_idx += 1;
-    if (!resident) {
-      const std::string* bytes = payloads[payload_idx++];
-      spans.push_back({bytes->data(), bytes->size()});
-    }
+  std::vector<ipc::FrameSpan> spans;
+  spans.reserve(chunks.size() - 1);
+  for (std::size_t i = 1; i < chunks.size(); ++i) {
+    const std::string_view bytes = chunks[i].bytes();
+    spans.push_back({bytes.data(), bytes.size()});
   }
-  ipc::TaskFrame frame;
+  ipc::FrameHeader frame;
   frame.kind = FrameKind::kTaskAssign;
   frame.partition = task;
-  const ipc::FrameParts parts =
+  ipc::FrameParts parts =
       ipc::encode_frame_parts(frame, spans.data(), spans.size());
-  std::size_t total = parts.header.size() + parts.trailer.size();
-  for (const auto& s : spans) total += s.size;
-  std::string bytes;
-  bytes.reserve(total);
-  bytes.append(parts.header);
-  for (const auto& s : spans) bytes.append(s.data, s.size);
-  bytes.append(parts.trailer);
-  enqueue(w, std::move(bytes));
+  chunks[0].owned = std::move(parts.header);
+  chunks.emplace_back().owned = std::move(parts.trailer);
+  enqueue(w, std::move(chunks));
 }
 
 void WorkerPool::send_stage_end(PoolWorker& w) {
@@ -1224,7 +1271,7 @@ void WorkerPool::run_pooled_stage(StageRun run) {
           }
         }
       } else {
-        in.bytes = ref.inline_bytes;
+        in.bytes = ref.inline_bytes;  // the sent buffer itself, shared
       }
       out.task_inputs[p].push_back(std::move(in));
     }
@@ -1334,7 +1381,7 @@ void WorkerPool::shutdown() noexcept {
     for (auto& w : workers_) {
       if (!w.alive) continue;
       flush(w);
-      if (w.alive && w.outpos < w.outbuf.size()) {
+      if (w.alive && !w.outq.empty()) {
         fds.push_back(pollfd{w.fd, POLLOUT, 0});
       }
     }

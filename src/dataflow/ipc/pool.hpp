@@ -45,8 +45,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -71,11 +73,11 @@ struct PartState {
 
 /// A lineage input of one task: either another set's partition or stored
 /// chain-head bytes (kept so the chain is rebuildable after its source Rdd
-/// died in the parent).
+/// died in the parent). The bytes are the very buffer that was sent.
 struct StoredInput {
   std::uint64_t set = 0;  ///< 0 = inline bytes below
   std::size_t partition = 0;
-  std::string bytes;
+  std::shared_ptr<const std::string> bytes;
 };
 
 /// Parent-side state of one resident set: where each partition lives plus
@@ -87,6 +89,39 @@ struct SetState {
   std::size_t num_targets = 0;  ///< wide only
   std::vector<std::vector<StoredInput>> task_inputs;  ///< per task / source
   std::vector<PartState> parts;
+};
+
+/// One piece of a queued outgoing frame: small header/meta bytes the queue
+/// owns, or a payload it sends by reference without copying.
+struct OutChunk {
+  std::string owned;
+  std::shared_ptr<const std::string> shared;  ///< when set, `owned` is unused
+  std::string_view bytes() const {
+    return shared ? std::string_view(*shared) : std::string_view(owned);
+  }
+};
+
+/// The receive side of one socket: unconsumed bytes plus room for the next
+/// read(2) of up to 1 MiB, in one buffer reused for the socket's lifetime so
+/// steady-state reads neither copy through a bounce buffer nor touch fresh
+/// pages.
+class RecvBuffer {
+ public:
+  /// One read(2) from `fd` appended after the pending bytes; returns its
+  /// result (bytes read, 0 at EOF, -1 with errno set).
+  ssize_t read_from(int fd);
+  const char* data() const { return buf_.get() + begin_; }
+  std::size_t size() const { return end_ - begin_; }
+  /// Drops `n` bytes from the front.
+  void consume(std::size_t n);
+  /// Drops everything and releases the memory.
+  void clear();
+
+ private:
+  std::unique_ptr<char[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
 };
 
 }  // namespace pooldetail
@@ -140,9 +175,10 @@ class WorkerPool : public PoolResidency {
     std::size_t incarnation = 0;
     bool ever_spawned = false;
     bool alive = false;
-    std::string inbuf;
-    std::string outbuf;  ///< pending bytes (nonblocking sends)
-    std::size_t outpos = 0;
+    pooldetail::RecvBuffer inbuf;
+    /// Pending sends (the socket is nonblocking), flushed with sendmsg.
+    std::deque<pooldetail::OutChunk> outq;
+    std::size_t outpos = 0;  ///< bytes of outq.front() already sent
   };
 
   struct StageCtx;
@@ -159,14 +195,17 @@ class WorkerPool : public PoolResidency {
   void spawn(PoolWorker& w);
   void retire(PoolWorker& w);
   void handle_death(PoolWorker& w);
-  void enqueue(PoolWorker& w, std::string bytes);
+  /// Queues one whole frame, as consecutive chunks, and tries to send it.
+  void enqueue(PoolWorker& w, std::vector<pooldetail::OutChunk> chunks);
+  void enqueue(PoolWorker& w, std::string frame);
   void flush(PoolWorker& w);
   /// One poll round: flush pending sends, read, decode, dispatch frames.
   /// Re-entered only from top-level waits (fetches), never from inside a
   /// frame handler — death recovery defers reassignment to drain_reassign.
   void pump();
   void read_and_dispatch(PoolWorker& w);
-  void dispatch_frame(PoolWorker& w, const ipc::TaskFrame& frame,
+  /// `frame` and `raw` point into w.inbuf, which is consumed afterwards.
+  void dispatch_frame(PoolWorker& w, const ipc::FrameView& frame,
                       const char* raw, std::size_t consumed);
   /// Fetches (set, partition) bytes from the worker holding it; false when
   /// the holder died first (caller falls back to lineage rebuild).

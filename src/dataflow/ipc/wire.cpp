@@ -21,7 +21,7 @@ std::uint64_t read_u64(const char* data) {
 
 namespace {
 
-void put_header(WireWriter& w, const TaskFrame& frame,
+void put_header(WireWriter& w, const FrameHeader& frame,
                 std::uint64_t payload_len) {
   w.put_u64(kWireMagic);
   w.put_u64(static_cast<std::uint64_t>(frame.kind));
@@ -47,14 +47,14 @@ std::string encode_frame(const TaskFrame& frame) {
   w.put_bytes(frame.payload.data(), frame.payload.size());
   // Checksum covers every byte after the magic: header words + payload.
   const std::string& bytes = w.buffer();
-  const std::uint64_t checksum =
-      checksum_fold(kChecksumSeed, bytes.data() + sizeof(std::uint64_t),
-                    bytes.size() - sizeof(std::uint64_t));
-  w.put_u64(checksum);
+  Checksum sum;
+  sum.update(bytes.data() + sizeof(std::uint64_t),
+             bytes.size() - sizeof(std::uint64_t));
+  w.put_u64(sum.digest());
   return w.take();
 }
 
-FrameParts encode_frame_parts(const TaskFrame& frame, const FrameSpan* spans,
+FrameParts encode_frame_parts(const FrameHeader& frame, const FrameSpan* spans,
                               std::size_t num_spans) {
   std::uint64_t payload_len = 0;
   for (std::size_t i = 0; i < num_spans; ++i) payload_len += spans[i].size;
@@ -62,22 +62,22 @@ FrameParts encode_frame_parts(const TaskFrame& frame, const FrameSpan* spans,
   put_header(w, frame, payload_len);
   FrameParts parts;
   parts.header = w.take();
-  // checksum_fold chains: folding the header tail, then each span in order,
-  // equals folding the equivalent contiguous frame in one call.
-  std::uint64_t checksum =
-      checksum_fold(kChecksumSeed, parts.header.data() + sizeof(std::uint64_t),
-                    parts.header.size() - sizeof(std::uint64_t));
+  // Streaming the header tail, then each span in order, digests the same
+  // bytes as the equivalent contiguous frame.
+  Checksum sum;
+  sum.update(parts.header.data() + sizeof(std::uint64_t),
+             parts.header.size() - sizeof(std::uint64_t));
   for (std::size_t i = 0; i < num_spans; ++i) {
-    checksum = checksum_fold(checksum, spans[i].data, spans[i].size);
+    sum.update(spans[i].data, spans[i].size);
   }
   WireWriter t;
-  t.put_u64(checksum);
+  t.put_u64(sum.digest());
   parts.trailer = t.take();
   return parts;
 }
 
 DecodeStatus try_decode_frame(const char* data, std::size_t size,
-                              TaskFrame& out, std::size_t& consumed) {
+                              FrameView& out, std::size_t& consumed) {
   if (size < sizeof(std::uint64_t)) return DecodeStatus::kIncomplete;
   if (read_u64(data) != kWireMagic) return DecodeStatus::kCorrupt;
   if (size < kHeaderBytes) return DecodeStatus::kIncomplete;
@@ -101,10 +101,9 @@ DecodeStatus try_decode_frame(const char* data, std::size_t size,
 
   const std::uint64_t stored =
       read_u64(data + total - sizeof(std::uint64_t));
-  const std::uint64_t computed = checksum_fold(
-      kChecksumSeed, data + sizeof(std::uint64_t),
-      total - 2 * sizeof(std::uint64_t));
-  if (stored != computed) return DecodeStatus::kCorrupt;
+  Checksum sum;
+  sum.update(data + sizeof(std::uint64_t), total - 2 * sizeof(std::uint64_t));
+  if (stored != sum.digest()) return DecodeStatus::kCorrupt;
 
   WireReader r(data, total - sizeof(std::uint64_t));
   r.get_u64();  // magic
@@ -123,10 +122,21 @@ DecodeStatus try_decode_frame(const char* data, std::size_t size,
   out.metrics.attempts = static_cast<std::size_t>(r.get_u64());
   out.metrics.retry_cost = static_cast<std::size_t>(r.get_u64());
   r.get_u64();  // payload_len, already validated
-  out.payload.assign(r.get_bytes(static_cast<std::size_t>(payload_len)),
-                     static_cast<std::size_t>(payload_len));
+  out.payload_size = static_cast<std::size_t>(payload_len);
+  out.payload = r.get_bytes(out.payload_size);
   consumed = total;
   return DecodeStatus::kOk;
+}
+
+DecodeStatus try_decode_frame(const char* data, std::size_t size,
+                              TaskFrame& out, std::size_t& consumed) {
+  FrameView view;
+  const DecodeStatus status = try_decode_frame(data, size, view, consumed);
+  if (status == DecodeStatus::kOk) {
+    static_cast<FrameHeader&>(out) = view;
+    out.payload.assign(view.payload, view.payload_size);
+  }
+  return status;
 }
 
 }  // namespace drapid::ipc

@@ -1,10 +1,10 @@
 // Checksummed framing for the process backend's worker pool.
 //
 // The coordinator and each pool worker talk in frames over one Unix-domain
-// socket per worker. The format deliberately reuses the
-// spill-file integrity scheme (util/checksum.hpp, PR 1): a leading 8-byte
-// magic, fixed u64 header words, a length-prefixed payload, and a trailing
-// FNV-1a checksum folded over every byte between magic and checksum. The
+// socket per worker. The format shares the integrity scheme of the spill
+// files and archive segments (util/checksum.hpp): a leading 8-byte magic,
+// fixed u64 header words, a length-prefixed payload, and a trailing
+// word checksum over every byte between magic and checksum. The
 // coordinator distinguishes three outcomes per buffered frame — complete
 // and valid, incomplete (keep reading), corrupt (treat the worker as dead)
 // — so a worker SIGKILLed mid-write is indistinguishable from socket EOF
@@ -75,13 +75,24 @@ enum class WireErrorKind : std::uint64_t {
   kTaskFailure = 1,  ///< TaskFailure (attempt budget exhausted in the child)
 };
 
-/// One task result (or error) as it crosses the socket.
-struct TaskFrame {
+/// The fixed header words of one frame.
+struct FrameHeader {
   FrameKind kind = FrameKind::kResult;
   std::uint64_t partition = 0;
   WireErrorKind error_kind = WireErrorKind::kRuntime;
   TaskMetrics metrics;  // partition/records/bytes/attempts/retry_cost
+};
+
+/// One task result (or error) as it crosses the socket.
+struct TaskFrame : FrameHeader {
   std::string payload;
+};
+
+/// A verified frame whose payload is still in the receive buffer: valid
+/// until the buffer is consumed past it.
+struct FrameView : FrameHeader {
+  const char* payload = nullptr;
+  std::size_t payload_size = 0;
 };
 
 enum class DecodeStatus {
@@ -101,21 +112,25 @@ struct FrameSpan {
 
 /// Header and trailer for a frame whose payload is supplied as spans, so a
 /// sender can writev([header][span...][trailer]) without first copying the
-/// payload into one contiguous buffer. `frame.payload` is ignored; the
-/// payload is the concatenation of the spans. The byte stream produced by
-/// writing header + spans + trailer is identical to encode_frame on a
-/// TaskFrame whose payload equals that concatenation (the checksum is folded
-/// across the spans in order — checksum_fold chains byte-for-byte).
+/// payload into one contiguous buffer. The payload is the concatenation of
+/// the spans. The byte stream produced by writing header + spans + trailer
+/// is identical to encode_frame on a TaskFrame whose payload equals that
+/// concatenation (the streaming checksum depends only on the bytes, not on
+/// how they were split).
 struct FrameParts {
   std::string header;   ///< magic + 13 header words
   std::string trailer;  ///< the 8-byte checksum word
 };
-FrameParts encode_frame_parts(const TaskFrame& frame, const FrameSpan* spans,
+FrameParts encode_frame_parts(const FrameHeader& frame, const FrameSpan* spans,
                               std::size_t num_spans);
 
-/// Attempts to decode one frame from the front of `data`. On kOk fills
-/// `out` and sets `consumed` to the frame's full encoded size; otherwise
-/// leaves both untouched.
+/// Attempts to decode one frame from the front of `data`, verifying its
+/// checksum, without copying the payload. On kOk fills `out` (its payload
+/// points into `data`) and sets `consumed` to the frame's full encoded
+/// size; otherwise leaves both untouched.
+DecodeStatus try_decode_frame(const char* data, std::size_t size,
+                              FrameView& out, std::size_t& consumed);
+/// Same, with the payload copied into `out.payload`.
 DecodeStatus try_decode_frame(const char* data, std::size_t size,
                               TaskFrame& out, std::size_t& consumed);
 

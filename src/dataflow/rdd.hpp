@@ -284,10 +284,11 @@ void fill_pool_input(PoolInputRef& ref, const Rdd<K, V>& in, std::size_t p) {
   if (in.resident) {
     ref.set = in.resident;
     ref.partition = p;
-  } else if (p < in.num_partitions()) {
-    ref.inline_bytes = ipc::encode_payload(in.partitions[p]);
   } else {
-    ref.inline_bytes = ipc::encode_payload(std::vector<std::pair<K, V>>{});
+    ref.inline_bytes = std::make_shared<const std::string>(
+        p < in.num_partitions()
+            ? ipc::encode_payload(in.partitions[p])
+            : ipc::encode_payload(std::vector<std::pair<K, V>>{}));
   }
 }
 

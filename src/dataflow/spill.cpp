@@ -15,9 +15,10 @@ namespace {
 /// Spill file layout: magic, record count, (klen, k, vlen, v)*, checksum.
 /// The trailing checksum covers everything between magic and itself, so any
 /// flipped byte — count, a length prefix, or payload — fails validation.
-/// The checksum scheme itself (seed + fold) lives in util/checksum.hpp and
-/// is shared with the candidate-archive segment format.
-constexpr std::uint64_t kSpillMagic = 0x3153504C4C495244ULL;  // "DRILLPS1"
+/// The checksum (util/checksum.hpp) is shared with the wire frames and the
+/// candidate-archive segment format. The magic's version digit names the
+/// checksum, so a file from another version fails on its magic.
+constexpr std::uint64_t kSpillMagic = 0x3253504C4C495244ULL;  // "DRILLPS2"
 constexpr std::size_t kHeaderBytes = 16;   // magic + count
 constexpr std::size_t kTrailerBytes = 8;   // checksum
 
@@ -116,13 +117,13 @@ std::string CachedStringRdd::write_partition(
     buffer.append(v);
   }
   task.spill_bytes += payload;
-  // The checksum folds byte-by-byte over exactly the bytes between the magic
-  // and itself, so folding the assembled buffer once is identical to folding
-  // each field as it is written.
-  const std::uint64_t checksum =
-      checksum_fold(kChecksumSeed, buffer.data() + sizeof(kSpillMagic),
-                    buffer.size() - sizeof(kSpillMagic));
-  append_u64(checksum);
+  // The checksum streams over exactly the bytes between the magic and
+  // itself, so digesting the assembled buffer once equals the reader's
+  // field-by-field digest.
+  Checksum sum;
+  sum.update(buffer.data() + sizeof(kSpillMagic),
+             buffer.size() - sizeof(kSpillMagic));
+  append_u64(sum.digest());
   out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
   if (!out) throw SpillError("spill write failed: " + path);
   return path;
@@ -151,7 +152,8 @@ void CachedStringRdd::read_partition(std::size_t p,
   std::size_t remaining = file_size - 8 - kTrailerBytes;
   const std::uint64_t count = read_u64(in);
   remaining -= 8;
-  std::uint64_t checksum = checksum_fold_u64(kChecksumSeed, count);
+  Checksum checksum;
+  checksum.update_u64(count);
   if (count > remaining / 16) {
     spill_fail(file, "record count " + std::to_string(count) +
                          " impossible for " + std::to_string(remaining) +
@@ -171,8 +173,8 @@ void CachedStringRdd::read_partition(std::size_t p,
       std::string s(len, '\0');
       in.read(s.data(), static_cast<std::streamsize>(len));
       remaining -= len;
-      checksum = checksum_fold_u64(checksum, len);
-      checksum = checksum_fold(checksum, s.data(), s.size());
+      checksum.update_u64(len);
+      checksum.update(s.data(), s.size());
       return s;
     };
     std::string k = read_string("record key");
@@ -184,7 +186,7 @@ void CachedStringRdd::read_partition(std::size_t p,
     spill_fail(file, std::to_string(remaining) +
                          " unexpected trailing payload bytes");
   }
-  if (read_u64(in) != checksum) {
+  if (read_u64(in) != checksum.digest()) {
     spill_fail(file, "checksum mismatch (corrupted on disk)");
   }
   if (!in) spill_fail(file, "read failed");

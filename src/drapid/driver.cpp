@@ -4,6 +4,7 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "dataflow/rdd.hpp"
 #include "dataflow/spill.hpp"
@@ -20,41 +21,54 @@ using StringRdd = Rdd<std::string, std::string>;
 /// Splits a CSV data/cluster row into the observation-descriptor key (the
 /// first five fields, verbatim) and the per-record remainder — the KVP
 /// mapping of Figure 3's "Map to KVPRDD" phase.
-std::pair<std::string, std::string> split_key_value(const std::string& line) {
+std::pair<std::string, std::string> split_key_value(std::string_view line) {
   std::size_t pos = 0;
   int commas = 0;
   for (; pos < line.size(); ++pos) {
     if (line[pos] == ',' && ++commas == 5) break;
   }
   if (commas < 5) {
-    throw std::runtime_error("row with fewer than 6 fields: " + line);
+    throw std::runtime_error("row with fewer than 6 fields: " +
+                             std::string(line));
   }
-  return {line.substr(0, pos), line.substr(pos + 1)};
+  return {std::string(line.substr(0, pos)), std::string(line.substr(pos + 1))};
 }
 
-/// Pooled load kernel: the task input is the raw chunk text (partition 0
-/// starts with the CSV header), the output the encoded key/value partition,
-/// which stays resident in the worker. Metrics mirror the local load body.
-std::string load_chunk_kernel(const PoolTaskCtx& ctx) {
-  const std::string& chunk = *ctx.inputs.at(0);
-  auto& task = *ctx.metrics;
+/// Parses one block chunk of a keyed CSV file into key/value records:
+/// every nonempty line, minus the CSV header that opens partition 0. Fills
+/// the load stage's task metrics; both the local body and the pooled
+/// kernel run exactly this.
+std::vector<std::pair<std::string, std::string>> parse_load_chunk(
+    std::string_view chunk, std::size_t partition, TaskMetrics& task) {
   task.bytes_in = chunk.size();
   std::vector<std::pair<std::string, std::string>> records;
-  std::istringstream in(chunk);
-  std::string line;
-  bool first_line_of_file = (ctx.partition == 0);
-  while (std::getline(in, line)) {
+  bool header = (partition == 0);
+  std::size_t start = 0;
+  while (start < chunk.size()) {
+    std::size_t end = chunk.find('\n', start);
+    if (end == std::string_view::npos) end = chunk.size();
+    const std::string_view line = chunk.substr(start, end - start);
+    start = end + 1;
     if (line.empty()) continue;
-    if (first_line_of_file) {
-      first_line_of_file = false;  // drop the CSV header
+    if (header) {
+      header = false;  // drop the CSV header
       continue;
     }
     records.push_back(split_key_value(line));
     ++task.records_in;
   }
+  // Parsing dominates the load stage: a per-record cost plus a per-byte
+  // scan cost (the cluster cost model prices these as CPU work).
   task.compute_cost = task.records_in + task.bytes_in / 32;
   detail::record_output(task, records);
-  return ipc::encode_payload(records);
+  return records;
+}
+
+/// Pooled load kernel: the task input is the raw chunk text, the output the
+/// encoded key/value partition, which stays resident in the worker.
+std::string load_chunk_kernel(const PoolTaskCtx& ctx) {
+  return ipc::encode_payload(
+      parse_load_chunk(*ctx.inputs.at(0), ctx.partition, *ctx.metrics));
 }
 
 /// Loads a keyed CSV file from the block store as one RDD partition per
@@ -64,19 +78,26 @@ std::string load_chunk_kernel(const PoolTaskCtx& ctx) {
 StringRdd load_keyed_file(Engine& engine, BlockStore& store,
                           const std::string& name,
                           const std::string& stage_prefix = {}) {
-  const auto chunks = store.line_chunks(name);
+  auto chunks = store.line_chunks(name);
   StringRdd rdd;
   rdd.partitions.resize(chunks.size());
   auto& stage =
       engine.begin_stage(stage_prefix + "load:" + name, chunks.size());
   if (engine.pool_residency() != nullptr && !chunks.empty()) {
     // Ship the raw chunk text to the pool; the parsed partitions never
-    // travel back — downstream stages consume them worker-resident.
+    // travel back — downstream stages consume them worker-resident. Each
+    // chunk moves into the one buffer that is both sent and kept as
+    // lineage.
+    std::vector<std::shared_ptr<const std::string>> shared;
+    shared.reserve(chunks.size());
+    for (auto& chunk : chunks) {
+      shared.push_back(std::make_shared<const std::string>(std::move(chunk)));
+    }
     PoolStagePlan plan;
     plan.kernel = &load_chunk_kernel;
-    plan.inputs = [&chunks](std::size_t task) {
+    plan.inputs = [&shared](std::size_t task) {
       std::vector<PoolInputRef> refs(1);
-      refs[0].inline_bytes = chunks[task];
+      refs[0].inline_bytes = shared[task];
       return refs;
     };
     engine.run_stage(stage, detail::unpooled_body(), &plan);
@@ -85,24 +106,7 @@ StringRdd load_keyed_file(Engine& engine, BlockStore& store,
   }
   engine.run_stage(stage, [&](TaskContext& ctx) {
     const std::size_t c = ctx.partition();
-    auto& task = ctx.metrics();
-    task.bytes_in = chunks[c].size();
-    std::istringstream in(chunks[c]);
-    std::string line;
-    bool first_line_of_file = (c == 0);
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      if (first_line_of_file) {
-        first_line_of_file = false;  // drop the CSV header
-        continue;
-      }
-      rdd.partitions[c].push_back(split_key_value(line));
-      ++task.records_in;
-    }
-    // Parsing dominates the load stage: a per-record cost plus a per-byte
-    // scan cost (the cluster cost model prices these as CPU work).
-    task.compute_cost = task.records_in + task.bytes_in / 32;
-    detail::record_output(task, rdd.partitions[c]);
+    rdd.partitions[c] = parse_load_chunk(chunks[c], c, ctx.metrics());
   });
   return rdd;
 }

@@ -11,7 +11,9 @@ namespace drapid {
 
 namespace {
 
-constexpr std::uint64_t kSegmentMagic = 0x3147455353415244ULL;  // "DRASSEG1"
+// The version digit names the checksum (util/checksum.hpp), so a segment
+// written with another one fails on its magic, not as corruption.
+constexpr std::uint64_t kSegmentMagic = 0x3247455353415244ULL;  // "DRASSEG2"
 constexpr std::size_t kHeaderBytes = 16;  // magic + count
 constexpr std::size_t kTrailerBytes = 8;  // checksum
 
@@ -33,10 +35,10 @@ void write_segment_file(const std::string& path,
   append_u64(kSegmentMagic);
   append_u64(records.size());
   for (const auto& rec : records) append_candidate_record(buffer, rec);
-  const std::uint64_t checksum =
-      checksum_fold(kChecksumSeed, buffer.data() + sizeof(kSegmentMagic),
-                    buffer.size() - sizeof(kSegmentMagic));
-  append_u64(checksum);
+  Checksum sum;
+  sum.update(buffer.data() + sizeof(kSegmentMagic),
+             buffer.size() - sizeof(kSegmentMagic));
+  append_u64(sum.digest());
   out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
   if (!out) segment_fail(path, "write failed");
 }
@@ -64,9 +66,10 @@ std::vector<CandidateRecord> read_segment_file(const std::string& path) {
   // Validate the checksum over the whole payload before trusting any length
   // prefix inside it: a corrupt prefix then cannot cause a bogus allocation
   // or a silently-short decode.
-  const std::uint64_t expected =
-      checksum_fold(kChecksumSeed, buffer.data() + sizeof(kSegmentMagic),
-                    file_size - sizeof(kSegmentMagic) - kTrailerBytes);
+  Checksum sum;
+  sum.update(buffer.data() + sizeof(kSegmentMagic),
+             file_size - sizeof(kSegmentMagic) - kTrailerBytes);
+  const std::uint64_t expected = sum.digest();
   std::uint64_t stored = 0;
   std::memcpy(&stored, buffer.data() + file_size - kTrailerBytes,
               sizeof(stored));

@@ -2,10 +2,10 @@
 //
 // A segment is one immutable, append-once batch of keyed candidates, sealed
 // by the archive writer and never modified again. The byte layout mirrors
-// the dataflow spill files (src/dataflow/spill.cpp) and shares their FNV
-// checksum scheme (util/checksum.hpp):
+// the dataflow spill files (src/dataflow/spill.cpp) and shares their word
+// checksum (util/checksum.hpp):
 //
-//   u64 magic ("DRASSEG1") | u64 record count |
+//   u64 magic ("DRASSEG2") | u64 record count |
 //   candidate records (spe_io.hpp binary encoding) | u64 checksum
 //
 // The trailing checksum covers every byte between the magic and itself, so

@@ -7,6 +7,7 @@
 // itself falls back to LocalExecutor in those builds.
 #include "dataflow/ipc/process_executor.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -15,6 +16,7 @@
 #include <cerrno>
 #include <filesystem>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -66,6 +68,21 @@ std::size_t open_fd_count() {
   namespace fs = std::filesystem;
   return static_cast<std::size_t>(std::distance(
       fs::directory_iterator("/proc/self/fd"), fs::directory_iterator()));
+}
+
+/// Socket descriptors this process holds open, with their link targets
+/// ("socket:[inode]").
+std::map<int, std::string> open_sockets() {
+  namespace fs = std::filesystem;
+  std::map<int, std::string> sockets;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    std::string target = fs::read_symlink(entry.path(), ec).string();
+    if (ec || target.rfind("socket:", 0) != 0) continue;
+    sockets.emplace(std::stoi(entry.path().filename().string()),
+                    std::move(target));
+  }
+  return sockets;
 }
 
 EngineConfig local_config() {
@@ -352,6 +369,98 @@ TEST(WorkerPoolMode, CleanShutdownDrainsThePool) {
       }
     }
     // Engine destruction sends kShutdown and reaps every worker.
+    EXPECT_EQ(workers_alive_gauge(), 0.0);
+    EXPECT_EQ(open_fd_count(), fds_before) << "a worker socket leaked";
+    int status = 0;
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1)
+        << "a worker process outlived the engine";
+    EXPECT_EQ(errno, ECHILD);
+  }
+}
+
+TEST(WorkerPoolMode, PoolSocketsAreCloseOnExec) {
+  DRAPID_REQUIRE_FORK();
+  // A program the host execs later must not inherit the parent side of a
+  // worker socket: a worker would then never see EOF if the coordinator
+  // died. Sockets this process inherited are not the pool's to judge.
+  const auto inherited = open_sockets();
+  Engine engine(process_config(2));
+  const auto rdd = parallelize(engine, make_pairs(100), 4);
+  map_pairs(
+      engine, rdd,
+      [](const std::pair<std::string, std::string>& kv) { return kv; },
+      "xform");
+  ASSERT_GT(engine.metrics().stages.back().workers_used, 0u);
+  std::size_t pool_sockets = 0;
+  for (const auto& [fd, target] : open_sockets()) {
+    const auto it = inherited.find(fd);
+    if (it != inherited.end() && it->second == target) continue;
+    ++pool_sockets;
+    EXPECT_NE(::fcntl(fd, F_GETFD) & FD_CLOEXEC, 0) << "fd " << fd << " "
+                                                     << target;
+  }
+  EXPECT_GE(pool_sockets, 2u) << "one parent-side socket per live worker";
+}
+
+TEST(WorkerPoolMode, LargeChainHeadsSurvivePartialWritesAndWorkerDeath) {
+  DRAPID_REQUIRE_FORK();
+  // Four chain-head partitions of about 5 MiB each, far above the AF_UNIX
+  // send buffer: every assign frame leaves the parent in many partial
+  // sendmsg calls that resume mid-chunk, and the collect pulls equally
+  // large replies back through many reads.
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (std::size_t i = 0; i < 160; ++i) {
+    pairs.emplace_back("key" + std::to_string(i),
+                       std::string(128 << 10, static_cast<char>('a' + i % 26)) +
+                           std::to_string(i));
+  }
+  const auto run = [&pairs](EngineConfig cfg) {
+    Engine engine(cfg);
+    const auto rdd = parallelize(engine, pairs, 4);
+    const auto out = map_pairs(
+        engine, rdd,
+        [](const std::pair<std::string, std::string>& kv) {
+          return std::make_pair(kv.first + "/big", kv.second + "!");
+        },
+        "bulk");
+    StageMetrics stage;
+    for (const auto& s : engine.metrics().stages) {
+      if (s.name == "bulk") stage = s;
+    }
+    return std::make_pair(out.collect(), stage);
+  };
+  const auto [local_out, local_stage] = run(local_config());
+
+  for (const bool kill : {false, true}) {
+    SCOPED_TRACE(kill ? "with a worker kill" : "clean run");
+    const std::size_t fds_before = open_fd_count();
+    {
+      EngineConfig cfg = process_config(2);
+      if (kill) cfg.faults.kill_workers.push_back({"bulk", 0});
+      const auto [out, stage] = run(cfg);
+      EXPECT_TRUE(out == local_out) << "pooled output differs from local";
+      EXPECT_GE(stage.ipc_bytes, std::size_t{4} * (5u << 20))
+          << "the chain heads must cross the sockets";
+      ASSERT_EQ(stage.tasks.size(), local_stage.tasks.size());
+      if (!kill) {
+        EXPECT_EQ(stage.worker_deaths, 0u);
+        for (std::size_t p = 0; p < stage.tasks.size(); ++p) {
+          EXPECT_EQ(stage.tasks[p].attempts, local_stage.tasks[p].attempts);
+          EXPECT_EQ(stage.tasks[p].retry_cost,
+                    local_stage.tasks[p].retry_cost);
+        }
+        EXPECT_EQ(stage.total_retries(), local_stage.total_retries());
+      } else {
+        // The victim dies on receiving its last task, after finishing the
+        // one before: exactly that task is charged one attempt.
+        EXPECT_EQ(stage.worker_deaths, 1u);
+        std::size_t rerun = 0;
+        for (const auto& t : stage.tasks) rerun += t.attempts == 2;
+        EXPECT_EQ(rerun, 1u);
+        EXPECT_EQ(stage.total_retries(), 1u);
+      }
+    }
     EXPECT_EQ(workers_alive_gauge(), 0.0);
     EXPECT_EQ(open_fd_count(), fds_before) << "a worker socket leaked";
     int status = 0;
