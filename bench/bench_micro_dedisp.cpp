@@ -77,26 +77,11 @@ const DmGrid& sweep_grid() {
   return grid;
 }
 
-void BM_DmSweep(benchmark::State& state) {
-  const auto fb = bench_filterbank(32);
-  SinglePulseSearchParams params;
-  params.exec.threads_per_worker = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(single_pulse_search(fb, sweep_grid(), params));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(sweep_grid().size() *
-                                                    fb.num_samples()));
-}
-BENCHMARK(BM_DmSweep)->Arg(1)->Arg(2);
-
-/// The two-stage subband sweep over the same fine-step workload — the
-/// apples-to-apples comparison row for BM_DmSweep (identical detected
-/// events, groups picked by the cost model).
+/// The production sweep (the two-stage subband engine, groups picked by the
+/// cost model) over the fine-step workload.
 void BM_DmSweepSubband(benchmark::State& state) {
   const auto fb = bench_filterbank(32);
   SinglePulseSearchParams params;
-  params.method = SweepMethod::kSubband;
   params.exec.threads_per_worker = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(single_pulse_search(fb, sweep_grid(), params));
@@ -126,7 +111,6 @@ void BM_DmSweepSubbandMasked(benchmark::State& state) {
   }();
   static const DmGrid grid = DmGrid::ska_mid().prefix(100.0);
   SinglePulseSearchParams params;
-  params.method = SweepMethod::kSubband;
   params.exec.threads_per_worker = static_cast<std::size_t>(state.range(0));
   params.channel_mask.assign(fb.num_channels(), 0);
   params.channel_mask[9] = params.channel_mask[30] =
@@ -141,7 +125,7 @@ void BM_DmSweepSubbandMasked(benchmark::State& state) {
 BENCHMARK(BM_DmSweepSubbandMasked)->Arg(3)->UseRealTime();
 
 /// The dispatched accumulation kernel on a dedispersion-sized row — the
-/// inner loop both sweep methods and the streaming path run hottest.
+/// inner loop of stage 1 in both sweep drivers and of dedisperse().
 void BM_KernelAccumulate(benchmark::State& state) {
   const std::size_t n = 5000;
   Rng rng(7);

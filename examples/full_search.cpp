@@ -8,8 +8,7 @@
 //   phase 4  candidate processing   — DBSCAN clustering + RAPID peak search
 //
 //   ./examples/full_search [--seed N] [--period S] [--dm X] [--threads T]
-//                          [--sweep exact|subband] [--groups G]
-//                          [--rfi off|zerodm|mask|both]
+//                          [--groups G] [--rfi off|zerodm|mask|both]
 #include <iostream>
 
 #include "clustering/dbscan.hpp"
@@ -27,7 +26,6 @@ int main(int argc, char** argv) {
                             {"period", "1.2"},
                             {"dm", "48"},
                             {"threads", "1"},
-                            {"sweep", "exact"},
                             {"groups", "0"},
                             {"rfi", "off"}});
   const double period = opts.number("period");
@@ -62,9 +60,8 @@ int main(int argc, char** argv) {
   SinglePulseSearchParams sp_params;
   sp_params.exec.threads_per_worker =
       static_cast<std::size_t>(opts.integer("threads"));
-  // --sweep=subband runs the two-stage subband dedispersion; the detected
-  // event set is identical to the exact sweep, only faster.
-  sp_params.method = parse_sweep_method(opts.str("sweep"));
+  // The sweep is the two-stage subband dedispersion; --groups picks its
+  // channel group count (0 = cost model, 1 = the exact channel-order sum).
   sp_params.subband_groups = static_cast<std::size_t>(opts.integer("groups"));
   // --rfi=zerodm|mask|both cleans the band before the sweep: zero-DM
   // subtraction removes the broadband impulse, channel masking the RFI tone.
@@ -75,8 +72,7 @@ int main(int argc, char** argv) {
             << " single pulse events across " << grid.size()
             << " trial DMs (" << sweep.plans.size()
             << " unique shift plans, "
-            << sweep.num_trials - sweep.plans.size() << " dedup hits, "
-            << sweep_method_name(sp_params.method) << " sweep, rfi="
+            << sweep.num_trials - sweep.plans.size() << " dedup hits, rfi="
             << mitigation_policy_name(sp_params.rfi.policy) << ", "
             << sp_params.exec.threads_per_worker << " thread(s))\n";
 

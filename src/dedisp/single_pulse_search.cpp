@@ -11,12 +11,8 @@
 #include <string>
 #include <utility>
 
-#include "obs/counters.hpp"
-#include "obs/trace.hpp"
 #include "synth/dispersion.hpp"
 #include "util/flat_hash.hpp"
-#include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace drapid {
 
@@ -408,17 +404,6 @@ std::vector<SinglePulseEvent> merge_plan_events(
 
 }  // namespace detail
 
-const char* sweep_method_name(SweepMethod method) {
-  return method == SweepMethod::kSubband ? "subband" : "exact";
-}
-
-SweepMethod parse_sweep_method(const std::string& name) {
-  if (name == "exact") return SweepMethod::kExact;
-  if (name == "subband") return SweepMethod::kSubband;
-  throw std::invalid_argument("unknown sweep method '" + name +
-                              "' (expected exact|subband)");
-}
-
 std::vector<SinglePulseEvent> single_pulse_search(
     const Filterbank& fb, const DmGrid& grid,
     const SinglePulseSearchParams& params) {
@@ -427,74 +412,8 @@ std::vector<SinglePulseEvent> single_pulse_search(
     // cleaning and re-enters here with policy kOff and the mask resolved.
     return detail::mitigated_single_pulse_search(fb, grid, params);
   }
-  if (params.method == SweepMethod::kSubband) {
-    return subband_single_pulse_search(fb, grid, params);
-  }
-  auto& tracer = obs::global_tracer();
-  obs::ScopedSpan sweep_span(tracer, "dedisp.sweep", {}, "dedisp");
-  Stopwatch watch;
-
-  const SweepPlan sweep =
-      build_sweep_plan(fb, grid, params.dm_stride, params.channel_mask);
-
-  // One event list per unique shift plan, detected with that plan's first
-  // trial DM (the DM only lands in the events' `dm` field, so duplicate
-  // trials reuse the list with their own nominal DM substituted).
-  std::vector<std::vector<SinglePulseEvent>> found(sweep.plans.size());
-  const auto run_plan = [&](std::size_t i) {
-    // Process-lifetime per-thread scratch: a sweep allocates nothing per
-    // plan once each worker's buffers have grown to the series length.
-    thread_local DedispScratch dedisp_scratch;
-    thread_local DetectScratch detect_scratch;
-    obs::ScopedSpan span(tracer, "dedisp.plan", {}, "dedisp");
-    const ShiftPlan& plan = sweep.plans[i];
-    dedisperse_plan(fb, plan, dedisp_scratch);
-    detect_events_into(dedisp_scratch.series, grid.dm_at(plan.trials.front()),
-                       fb.config().sample_time_ms, params, detect_scratch,
-                       found[i]);
-    if (span.active()) {
-      span.arg("trials", static_cast<std::int64_t>(plan.trials.size()));
-      span.arg("events", static_cast<std::int64_t>(found[i].size()));
-    }
-  };
-  const std::size_t sweep_threads = params.exec.threads_per_worker;
-  if (sweep_threads > 1 && sweep.plans.size() > 1) {
-    ThreadPool pool(sweep_threads);
-    pool.parallel_for(sweep.plans.size(), run_plan);
-  } else {
-    for (std::size_t i = 0; i < sweep.plans.size(); ++i) run_plan(i);
-  }
-
-  std::vector<SinglePulseEvent> events =
-      detail::merge_plan_events(sweep, grid, params.dm_stride, found);
-
-  const double elapsed = watch.elapsed_seconds();
-  auto& counters = obs::global_counters();
-  counters.add("dedisp.trials",
-               static_cast<std::int64_t>(sweep.num_trials));
-  counters.add("dedisp.plans_unique",
-               static_cast<std::int64_t>(sweep.plans.size()));
-  counters.add("dedisp.plan_dedup_hits",
-               static_cast<std::int64_t>(sweep.num_trials -
-                                         sweep.plans.size()));
-  counters.add("dedisp.events", static_cast<std::int64_t>(events.size()));
-  const double samples =
-      static_cast<double>(sweep.plans.size() * fb.num_samples());
-  if (elapsed > 0.0) {
-    counters.set_gauge("dedisp.samples_per_s", samples / elapsed);
-  }
-  if (sweep_span.active()) {
-    sweep_span.arg("trials", static_cast<std::int64_t>(sweep.num_trials));
-    sweep_span.arg("plans_unique",
-                   static_cast<std::int64_t>(sweep.plans.size()));
-    sweep_span.arg("dedup_hits",
-                   static_cast<std::int64_t>(sweep.num_trials -
-                                             sweep.plans.size()));
-    sweep_span.arg("events", static_cast<std::int64_t>(events.size()));
-    sweep_span.arg("threads", static_cast<std::int64_t>(sweep_threads));
-    sweep_span.arg("kernel", kernels::dispatch_name());
-  }
-  return events;
+  return detail::subband_single_pulse_search(fb, grid, params,
+                                             detail::kSubbandArenaBudgetBytes);
 }
 
 }  // namespace drapid

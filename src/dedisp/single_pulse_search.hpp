@@ -13,15 +13,15 @@
 // front and exact-duplicate vectors are deduplicated — adjacent fine-step
 // trials round to identical shifts, so their dedispersed series (and their
 // events, which only carry the trial's nominal DM) are computed once per
-// unique vector. Unique plans run independently (optionally on a worker
-// pool) into reusable per-worker scratch buffers, and per-trial event lists
-// are merged back in trial order, so the sweep output is byte-identical to
-// the naive one-trial-at-a-time loop at any thread count.
+// unique vector. single_pulse_search() dedisperses the unique plans with the
+// two-stage subband engine (subband_sweep.hpp) and merges per-trial event
+// lists back in trial order, so its output is the same at any thread count.
+// dedisperse()/dedisperse_plan() are the single-DM, channel-order sum;
+// with `subband_groups = 1` the engine reproduces that sum bit for bit.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -84,9 +84,8 @@ SweepPlan build_sweep_plan(const Filterbank& fb, const DmGrid& grid,
 struct DedispScratch {
   std::vector<double> series;
   std::vector<std::uint32_t> contrib_prefix;
-  /// Subband stage-2 buffers (unused by the exact method): the plan's G
-  /// node pointers, its distinct coverage cuts, and one segment's active
-  /// node pointers.
+  /// Subband stage-2 buffers: the plan's G node pointers, its distinct
+  /// coverage cuts, and one segment's active node pointers.
   std::vector<const double*> nodes;
   std::vector<std::size_t> cuts;
   std::vector<const double*> segment;
@@ -120,25 +119,13 @@ void normalize_tail(const ShiftPlan& plan, std::size_t channels,
 /// fewer channels and renormalized to keep the noise level uniform.
 std::vector<double> dedisperse(const Filterbank& fb, double dm);
 
-/// How the DM sweep dedisperses each unique shift plan.
+/// How the DM sweep dedisperses each unique shift plan. The two-stage
+/// subband sweep (subband_sweep.hpp) is the only engine; the enum and the
+/// `method` field below stay, with this one value, because the end-to-end
+/// benchmark sources assign it and are changed only by a benchmark change.
 enum class SweepMethod {
-  /// PR 5 shift-plan sweep: every plan accumulates all channels directly.
-  /// The verification oracle — byte-identical to seed.
-  kExact,
-  /// PR 8 two-stage subband sweep (subband_sweep.hpp): coarse-dedisperse
-  /// channel groups once per distinct residual pattern, then synthesize
-  /// each plan from G offset subband streams. Same detected event set on
-  /// every surveyed input; per-sample series differ from exact only by
-  /// floating-point regrouping (documented bound).
   kSubband,
 };
-
-/// "exact" / "subband" — for CLI flags, span args and error messages.
-const char* sweep_method_name(SweepMethod method);
-
-/// Parses "exact" / "subband" (as in `--sweep=`). Throws
-/// std::invalid_argument on anything else.
-SweepMethod parse_sweep_method(const std::string& name);
 
 /// RFI mitigation ahead of the sweep (rfi_mitigation.hpp holds the stage
 /// itself; the knob lives here so it threads through the search params).
@@ -170,11 +157,11 @@ struct SinglePulseSearchParams {
   /// so only threads_per_worker matters here (1 = run on the calling
   /// thread). Sweep output is byte-identical at any width.
   ExecPolicy exec;
-  /// Dedispersion method. kExact stays the default (and the oracle);
-  /// kSubband is the two-stage fast path with identical detected events.
-  SweepMethod method = SweepMethod::kExact;
-  /// Channel groups for SweepMethod::kSubband: 0 = cost-model auto, else
-  /// clamped to [1, channels]. Ignored by kExact.
+  /// Dedispersion method; kSubband is the only one (see SweepMethod).
+  SweepMethod method = SweepMethod::kSubband;
+  /// Subband channel groups: 0 = cost-model auto, else clamped to
+  /// [1, channels]. 1 reproduces dedisperse_plan's channel-order sum bit
+  /// for bit (stage 1 is that left fold, stage 2 a copy).
   std::size_t subband_groups = 0;
   /// RFI mitigation stage ahead of the sweep. kOff runs the pre-mitigation
   /// pipeline untouched (no copy, byte-identical output); anything else
@@ -240,12 +227,13 @@ std::vector<SinglePulseEvent> merge_plan_events(
 
 }  // namespace detail
 
-/// The full phase-2+3 search: one shift-plan sweep over the (strided) grid.
-/// Duplicate shift vectors are dedispersed once, unique plans run on
-/// `params.exec.threads_per_worker` workers, and events are merged in trial
-/// order — output is sorted by (dm, time) like the survey simulator's SPE
-/// lists, ready for DBSCAN + RAPID, and byte-identical to a per-trial loop
-/// at any thread count. Emits `dedisp.*` spans and counters through src/obs.
+/// The full phase-2+3 search and the one sweep entry point: routes
+/// params.rfi through the mitigation stage (rfi_mitigation.hpp), then runs
+/// the subband engine over the (strided) grid's unique shift plans on
+/// `params.exec.threads_per_worker` workers and merges events in trial
+/// order — sorted by (dm, time) like the survey simulator's SPE lists,
+/// ready for DBSCAN + RAPID, and byte-identical at any thread count. Emits
+/// `dedisp.*` spans and counters through src/obs.
 std::vector<SinglePulseEvent> single_pulse_search(
     const Filterbank& fb, const DmGrid& grid,
     const SinglePulseSearchParams& params = {});

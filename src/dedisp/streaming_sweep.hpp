@@ -1,41 +1,34 @@
-// Chunk-resumable DM sweep: the PR 5 shift-plan sweep fed in fixed-size
-// sample blocks, for long-running survey ingestion.
+// Chunk-resumable DM sweep: the subband engine (subband_sweep.hpp) fed in
+// fixed-size sample blocks, for long-running survey ingestion.
 //
 // The one-shot single_pulse_search() needs the whole filterbank resident; a
 // streaming service ingests data in bounded chunks as it arrives. The
-// StreamingSweep accepts time-ordered sample blocks of any size, keeps an
-// overlap carry of the last max_shift input samples per channel (the only
-// history a dispersed output sample can still reference), and accumulates
-// each unique shift plan's dedispersed series incrementally:
+// StreamingSweep accepts time-ordered sample blocks of any size and runs
+// the same two stages as the one-shot driver, split in time:
 //
-//   * an output sample s of a plan with per-channel shifts v_c reads inputs
-//     s + v_c, so s is *complete* once s + max_shift < samples_pushed. Each
-//     push flushes the newly-completed range [frontier, pushed - max_shift)
-//     for every plan, summing channels in ascending order — the exact
-//     addition sequence of dedisperse_plan(), so the accumulated series is
-//     byte-identical to the one-shot sweep's no matter how the input was
-//     chunked.
-//   * tail normalization is applied exactly ONCE, at finalize, over the
-//     fully-accumulated series. Normalizing per chunk would rescale the
-//     overlap-carry samples once per chunk they straddle — the double-count
-//     bug the boundary regression tests pin.
-//   * detection (global median/MAD standardization + matched filtering)
-//     runs at finalize per unique plan, and events merge in trial order via
-//     the same helper as the one-shot path.
+//   * stage 1 per push: every coarse node (one partial series per distinct
+//     (group, residual pattern)) reads inputs t + r_i, so its sample t is
+//     *complete* once t + max_residual < samples_pushed. Each push flushes
+//     the newly-completed range [frontier, pushed - max_residual) of every
+//     node through accumulate_subband_node — the one-shot driver's stage-1
+//     routine — from a window of the new block plus an overlap carry of the
+//     last max_residual input samples per channel (the only history a node
+//     can still reference). Each partial sample is completed in a single
+//     flush, so the partials are byte-identical to the one-shot sweep's no
+//     matter how the input was chunked.
+//   * stage 2 + tail normalization + detection at finalize, per unique
+//     plan, through detail::detect_subband_plan — the one-shot driver's
+//     helper — and a trial-order merge through the same helper. Tail
+//     normalization therefore runs exactly ONCE over the fully-combined
+//     series; normalizing per chunk would rescale the overlap-carry samples
+//     once per chunk they straddle — the double-count bug the boundary
+//     regression tests pin.
 //
 // The result of finalize() is therefore byte-identical to
 // single_pulse_search() on the concatenated data, for any chunk size and
-// any thread count.
-//
-// With params.method == SweepMethod::kSubband the stream accumulates the
-// subband plan's coarse nodes (one partial series per distinct
-// (group, residual-pattern)) instead of per-plan series, and finalize
-// synthesizes each plan from its G offset partials before detection — the
-// same two stages as subband_single_pulse_search(), so the result is
-// byte-identical to the one-shot subband sweep. Stage 1 only ever looks
-// back by a pattern residual, so the overlap carry shrinks from the
-// full-band max shift to the subband plan's max residual (often an order
-// of magnitude less history per channel).
+// any thread count. The carry is the subband plan's max residual, not the
+// full-band max shift (often an order of magnitude less history per
+// channel); with `subband_groups = 1` it is the full-band shift.
 #pragma once
 
 #include <cstddef>
@@ -74,7 +67,9 @@ class StreamingSweep {
   void push_frames(const float* frames, std::size_t num_frames);
 
   /// Pushes samples [begin, begin + count) of an in-memory filterbank (must
-  /// match this sweep's geometry and continue exactly at samples_pushed()).
+  /// match this sweep's geometry — channels, samples, sampling time, centre
+  /// frequency and bandwidth, since the shift plan depends on all of them —
+  /// and continue exactly at samples_pushed()).
   /// A `count` past the observation end is clamped — a fixed block size
   /// naturally overshoots on the final chunk — and count 0 is a no-op.
   /// Convenience for tests and for ingesting synthesized observations.
@@ -85,9 +80,8 @@ class StreamingSweep {
   std::size_t total_samples() const { return total_samples_; }
 
   /// Overlap carried across chunk boundaries, clamped to the observation
-  /// length: the largest per-channel shift of any plan (exact method), or
-  /// the subband plan's largest residual shift (subband method) — the only
-  /// input history stage 1 can still reference.
+  /// length: the subband plan's largest residual shift — the only input
+  /// history stage 1 can still reference.
   std::size_t max_shift() const { return max_shift_; }
 
   std::size_t num_plans() const { return sweep_.plans.size(); }
@@ -108,31 +102,24 @@ class StreamingSweep {
   /// so cleaning chunk by chunk matches the one-shot mitigated sweep bit
   /// for bit; the carry refresh then naturally holds cleaned samples.
   void clean_block(std::size_t carry_len, std::size_t count);
-  /// Accumulates every plan's newly-completed output range from the window,
+  /// Accumulates every node's newly-completed output range from the window,
   /// then refreshes the overlap carry from the window's tail.
   void commit_block(std::size_t count);
-  void accumulate_plan(std::size_t plan_index, std::size_t out_begin,
-                       std::size_t out_end);
-  /// Subband stage 1 for one coarse node's newly-completed range.
-  void accumulate_node(std::size_t slot, std::size_t out_begin,
-                       std::size_t out_end);
   template <typename Fn>
   void for_each(std::size_t count, const Fn& fn);
-
-  bool subband() const { return params_.method == SweepMethod::kSubband; }
 
   FilterbankConfig config_;
   DmGrid grid_;
   SinglePulseSearchParams params_;
   SweepPlan sweep_;
-  /// Groups × residual patterns decomposition (subband method only).
+  /// Groups × residual patterns decomposition.
   SubbandPlan sub_;
   std::size_t total_samples_ = 0;
   std::size_t channels_ = 0;
   std::size_t max_shift_ = 0;
 
   std::size_t pushed_ = 0;    ///< input samples accepted
-  std::size_t frontier_ = 0;  ///< output samples accumulated per plan
+  std::size_t frontier_ = 0;  ///< output samples accumulated per node
   /// Zero-DM subtraction enabled (params.rfi.policy includes it). Channel
   /// masking comes through params.channel_mask: the stream cannot estimate
   /// a mask from data it has not seen, so mask policies require an explicit
@@ -144,23 +131,21 @@ class StreamingSweep {
   /// max_shift_ samples ending at the previous push) followed by the block
   /// being flushed. Rebuilt per push; reads during a flush stay inside it.
   std::vector<float> window_;
-  std::size_t window_len_ = 0;    ///< valid samples per channel row
   std::size_t window_start_ = 0;  ///< global index of the window's first sample
-  std::size_t window_stride_ = 0; ///< row capacity (carry + block)
+  std::size_t window_stride_ = 0; ///< samples per channel row (carry + block)
 
   /// Per-channel overlap carry: the last max_shift_ input samples, refreshed
   /// after each push (rows of max_shift_ floats, first carry-length valid).
   std::vector<float> carry_;
 
-  /// One fully-accumulated dedispersed series per unique shift plan (exact
-  /// method; empty under subband).
-  std::vector<std::vector<double>> series_;
-
-  /// One fully-accumulated partial series per coarse node, indexed by the
-  /// flat slot id pattern_base[g] + p (subband method; empty under exact).
-  /// Shared by every plan that uses the node, so none are freed until
-  /// finalize has detected every plan.
-  std::vector<std::vector<double>> partials_;
+  /// One partial series per coarse node (total_samples_ doubles), indexed
+  /// by the flat id pattern_base[g] + p. Never value-initialised: every
+  /// sample is written by the one flush that completes it. One allocation
+  /// per node: small buffers the allocator reuses across a service's
+  /// observations (one block for all nodes measured slower on chunked
+  /// ingest). Shared by every plan that uses the node, so none are freed
+  /// until finalize has detected every plan.
+  std::vector<std::unique_ptr<double[]>> partials_;
 
   std::unique_ptr<ThreadPool> pool_;
   bool finalized_ = false;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "dedisp/kernels.hpp"
-#include "dedisp/rfi_mitigation.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
@@ -207,15 +206,29 @@ std::size_t count_subband_patterns(const SweepPlan& sweep,
 
 }  // namespace detail
 
-void accumulate_subband_partial(const Filterbank& fb,
-                                const SubbandGroup& group,
-                                const SubbandPattern& pattern, double* out,
-                                std::size_t n) {
-  std::fill(out, out + n, 0.0);
+std::size_t SubbandPlan::group_of(std::size_t node) const {
+  return static_cast<std::size_t>(
+      std::upper_bound(pattern_base.begin(), pattern_base.end(), node) -
+      pattern_base.begin() - 1);
+}
+
+void accumulate_subband_node(const ChannelRows& rows, const SubbandPlan& sub,
+                             std::size_t node, std::size_t n,
+                             std::size_t begin, std::size_t end, double* out) {
+  const std::size_t g = sub.group_of(node);
+  const SubbandGroup& group = sub.groups[g];
+  const SubbandPattern& pattern = sub.patterns[g][node - sub.pattern_base[g]];
+  std::fill(out + begin, out + end, 0.0);
   for (std::uint32_t c = group.begin; c < group.end; ++c) {
     const std::uint32_t r = pattern.residuals[c - group.begin];
     if (r >= n) continue;
-    kernels::accumulate_f32(out, fb.channel_data(c) + r, n - r);
+    const std::size_t limit = std::min<std::size_t>(end, n - r);
+    if (limit <= begin) continue;
+    // Indexed from the rows' origin, so the read starts inside the row
+    // (begin + r >= origin) rather than at a pointer before it.
+    kernels::accumulate_f32(
+        out + begin, rows.data + c * rows.stride + (begin + r - rows.origin),
+        limit - begin);
   }
 }
 
@@ -228,7 +241,7 @@ void combine_subband_series(const SubbandPlan& sub, std::size_t plan_index,
   // Group g covers output samples [0, n - offset_g); past that its partial
   // has run out of band. Splitting [0, n) at the distinct coverage limits
   // gives segments with a constant active-group set, each combined in one
-  // fused pass (ascending group order, like the exact sweep's ascending
+  // fused pass (ascending group order, like dedisperse_plan's ascending
   // channel order).
   const auto limit = [&](std::size_t g) -> std::size_t {
     const std::size_t offset = sub.entry(plan_index, g).offset;
@@ -259,13 +272,11 @@ void combine_subband_series(const SubbandPlan& sub, std::size_t plan_index,
 
 namespace {
 
-constexpr std::size_t kArenaBudgetBytes = std::size_t{256} << 20;
-
 /// The calling thread's stage-1 arena, process-lifetime: it grows to the
 /// largest block seen and never shrinks, so a survey's repeated sweeps do
 /// not mmap, zero-fill and unmap a 100 MB buffer each. It is never
-/// value-initialised — accumulate_subband_partial overwrites every stripe
-/// it is handed.
+/// value-initialised — accumulate_subband_node overwrites every stripe it
+/// is handed.
 double* node_arena(std::size_t doubles) {
   thread_local std::unique_ptr<double[]> arena;
   thread_local std::size_t capacity = 0;
@@ -277,34 +288,7 @@ double* node_arena(std::size_t doubles) {
   return arena.get();
 }
 
-/// Group index of a flat node id.
-std::size_t group_of(const SubbandPlan& sub, std::size_t flat) {
-  return static_cast<std::size_t>(
-      std::upper_bound(sub.pattern_base.begin(), sub.pattern_base.end(),
-                       flat) -
-      sub.pattern_base.begin() - 1);
-}
-
 }  // namespace
-
-void subband_series(const Filterbank& fb, const SweepPlan& sweep,
-                    const SubbandPlan& sub, std::size_t plan_index,
-                    DedispScratch& scratch) {
-  const std::size_t n = fb.num_samples();
-  const std::size_t num_groups = sub.groups.size();
-  double* arena = node_arena(num_groups * n);
-  scratch.nodes.resize(num_groups);
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    double* slot = arena + g * n;
-    accumulate_subband_partial(
-        fb, sub.groups[g],
-        sub.patterns[g][sub.entry(plan_index, g).pattern], slot, n);
-    scratch.nodes[g] = slot;
-  }
-  combine_subband_series(sub, plan_index, scratch.nodes.data(), n, scratch);
-  normalize_tail(sweep.plans[plan_index], fb.num_channels(), scratch.series,
-                 scratch.contrib_prefix);
-}
 
 namespace detail {
 
@@ -342,7 +326,7 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
         "the budgeted sweep takes params.rfi.policy = off");
   }
   auto& tracer = obs::global_tracer();
-  obs::ScopedSpan sweep_span(tracer, "dedisp.subband.sweep", {}, "dedisp");
+  obs::ScopedSpan sweep_span(tracer, "dedisp.sweep", {}, "dedisp");
   Stopwatch watch;
 
   const SweepPlan sweep =
@@ -350,6 +334,7 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
   const SubbandPlan sub = build_subband_plan(
       sweep, fb.num_channels(), fb.num_samples(), params.subband_groups);
   const std::size_t n = fb.num_samples();
+  const ChannelRows rows{fb.channel_data(0), n, 0};
   const std::size_t num_groups = sub.groups.size();
   const std::size_t num_plans = sweep.plans.size();
   const std::size_t sweep_threads = params.exec.threads_per_worker;
@@ -388,11 +373,8 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
       node_series[node_order[i]] = arena + i * n;
     }
     for_each(node_order.size(), [&](std::size_t i) {
-      const std::size_t flat = node_order[i];
-      const std::size_t g = group_of(sub, flat);
-      accumulate_subband_partial(fb, sub.groups[g],
-                                 sub.patterns[g][flat - sub.pattern_base[g]],
-                                 arena + i * n, n);
+      accumulate_subband_node(rows, sub, node_order[i], n, 0, n,
+                              arena + i * n);
     });
     for_each(end - begin, [&](std::size_t i) {
       const std::size_t p = begin + i;
@@ -467,20 +449,5 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
 }
 
 }  // namespace detail
-
-std::vector<SinglePulseEvent> subband_single_pulse_search(
-    const Filterbank& fb, const DmGrid& grid,
-    const SinglePulseSearchParams& params) {
-  if (params.rfi.policy != MitigationPolicy::kOff) {
-    // Route direct calls through the mitigation stage too; it re-enters
-    // single_pulse_search with the policy cleared, so pin the method in
-    // case the caller reached here without setting it.
-    SinglePulseSearchParams routed = params;
-    routed.method = SweepMethod::kSubband;
-    return detail::mitigated_single_pulse_search(fb, grid, routed);
-  }
-  return detail::subband_single_pulse_search(fb, grid, params,
-                                             kArenaBudgetBytes);
-}
 
 }  // namespace drapid

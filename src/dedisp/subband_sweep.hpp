@@ -1,7 +1,8 @@
-// Two-stage subband dedispersion (PR 8): FDMT-style shift reuse on top of
-// the PR 5 shift-plan sweep.
+// Two-stage subband dedispersion: the sweep engine behind
+// single_pulse_search() and StreamingSweep — FDMT-style shift reuse on top of
+// the deduplicated shift plans.
 //
-// The exact sweep accumulates `channels` shifted rows per unique plan —
+// Summing all `channels` shifted rows per unique plan costs
 // O(plans × channels × samples). But within a contiguous channel *group*,
 // the shift vector of a plan decomposes as
 //
@@ -19,19 +20,26 @@
 //
 // The decomposition is *exact* in coverage: base_g + residual_c recreates
 // every channel's clamped shift, so each channel contributes to exactly the
-// same output samples as in the exact sweep, and normalize_tail applies
+// same output samples as dedisperse_plan(), and normalize_tail applies
 // unchanged. The only difference is floating-point associativity — channel
 // sums are regrouped as (group sums) before the cross-group add — bounding
-// |subband - exact| per sample by ~2·(channels-1)·eps·Σ|x| (≈1e-12 for
-// unit-noise data; dedisp_subband_test pins measured bounds far below the
-// detection tolerance). Detected event sets are asserted identical to the
-// exact oracle on every seed/synth survey.
+// |subband - channel-order sum| per sample by ~2·(channels-1)·eps·Σ|x|
+// (≈1e-12 for unit-noise data; dedisp_subband_test pins measured bounds far
+// below the detection tolerance). With one group, stage 1 *is* the
+// channel-order left fold and stage 2 a copy, so `subband_groups = 1`
+// reproduces the channel-order sum bit for bit; the test-side reference
+// sweep (tests/dedisp_reference.hpp) is that sum.
 //
 // Group count: `SinglePulseSearchParams::subband_groups`, or 0 to pick the
 // argmin of a bytes-touched cost model (stage-1 rows shrink as groups grow
 // coarser; stage-2 stream adds grow linearly with G). The model needs only
 // each group's distinct-pattern count, so the ladder probes count patterns
 // in place and only the winning G is decomposed.
+//
+// Two drivers share stage 1 (accumulate_subband_node) and stage 2 +
+// detection (detail::detect_subband_plan): the one-shot sweep over a
+// resident filterbank (detail::subband_single_pulse_search) and the chunked
+// StreamingSweep. The input shape picks the driver.
 #pragma once
 
 #include <cstddef>
@@ -84,6 +92,8 @@ struct SubbandPlan {
   const SubbandEntry& entry(std::size_t plan, std::size_t g) const {
     return entries[plan * groups.size() + g];
   }
+  /// Group of the flat node id pattern_base[g] + pattern.
+  std::size_t group_of(std::size_t node) const;
 };
 
 /// Decomposes a deduplicated sweep plan into groups × residual patterns.
@@ -96,14 +106,25 @@ SubbandPlan build_subband_plan(const SweepPlan& sweep, std::size_t channels,
                                std::size_t num_samples,
                                std::size_t groups = 0);
 
-/// Stage 1 for one coarse node: out[t] = Σ_{i} x_{group.begin+i}[t + r_i]
-/// over t where t + r_i < n (ascending channel order per sample, exactly
-/// like dedisperse_plan within the group). out must hold n doubles; it is
-/// overwritten.
-void accumulate_subband_partial(const Filterbank& fb,
-                                const SubbandGroup& group,
-                                const SubbandPattern& pattern, double* out,
-                                std::size_t n);
+/// Channel-major input rows: sample t of channel c sits at
+/// data[c * stride + (t - origin)]. A resident filterbank is origin 0 with
+/// stride num_samples; a streaming window starts at its first carried
+/// sample.
+struct ChannelRows {
+  const float* data = nullptr;
+  std::size_t stride = 0;
+  std::size_t origin = 0;
+};
+
+/// Stage 1 for coarse node `node` (flat id pattern_base[g] + pattern) over
+/// output samples [begin, end): out[t] = Σ_i x_{group.begin+i}[t + r_i] over
+/// the channels with t + r_i < n, in ascending channel order per sample —
+/// exactly dedisperse_plan's order within the group. `out` is the node's
+/// n-sample partial; [begin, end) is overwritten and nothing else touched.
+/// Every sample read (t + r_i for t >= begin) must be resident in `rows`.
+void accumulate_subband_node(const ChannelRows& rows, const SubbandPlan& sub,
+                             std::size_t node, std::size_t n,
+                             std::size_t begin, std::size_t end, double* out);
 
 /// Stage 2 for one plan: series[s] = Σ_g partials[g][s + offset_g] for the
 /// groups still in range (ascending group order per sample — the regrouped
@@ -114,26 +135,6 @@ void accumulate_subband_partial(const Filterbank& fb,
 void combine_subband_series(const SubbandPlan& sub, std::size_t plan_index,
                             const double* const* partials, std::size_t n,
                             DedispScratch& scratch);
-
-/// Test/verification helper: dedisperses one plan via the subband path
-/// (stage 1 for its G nodes + stage 2 + normalize_tail) into scratch.series
-/// — the series the full subband sweep detects on, for error-bound
-/// assertions against dedisperse_plan.
-void subband_series(const Filterbank& fb, const SweepPlan& sweep,
-                    const SubbandPlan& sub, std::size_t plan_index,
-                    DedispScratch& scratch);
-
-/// The full subband search: build_sweep_plan + build_subband_plan, then per
-/// block of plans one parallel stage-1 pass over the block's distinct nodes
-/// and one parallel stage-2 + detection pass over its plans, and a
-/// trial-order merge. Called by single_pulse_search() when params.method ==
-/// kSubband; same output contract, and the detected event set is identical
-/// to the exact method on every surveyed input (bounded series error never
-/// crosses a detection decision — pinned by dedisp_subband_test). Emits
-/// `dedisp.subband.*` counters and spans.
-std::vector<SinglePulseEvent> subband_single_pulse_search(
-    const Filterbank& fb, const DmGrid& grid,
-    const SinglePulseSearchParams& params);
 
 namespace detail {
 
@@ -151,13 +152,20 @@ std::size_t count_subband_patterns(const SweepPlan& sweep,
                                    std::size_t num_samples,
                                    std::size_t groups);
 
-/// subband_single_pulse_search with the stage-1 arena capped at
-/// `arena_budget_bytes` instead of the production 256 MB: plans are split
-/// into DM-contiguous blocks whose distinct nodes fit the cap (a block
-/// always takes at least one plan), and blocks run in sequence. Output is
-/// byte-identical for every cap; tests use small caps to reach the
-/// multi-block path. params.rfi.policy must be kOff (throws
-/// std::invalid_argument otherwise) — the public entry routes mitigation.
+/// The one-shot driver's stage-1 arena budget: 256 MB of node partials.
+inline constexpr std::size_t kSubbandArenaBudgetBytes = std::size_t{256}
+                                                         << 20;
+
+/// The one-shot driver behind single_pulse_search(): build_sweep_plan +
+/// build_subband_plan, then per DM-contiguous block of plans whose distinct
+/// nodes fit `arena_budget_bytes` (a block always takes at least one plan;
+/// blocks run in sequence) one parallel stage-1 pass over the block's
+/// nodes and one parallel stage-2 + detection pass over its plans, and a
+/// trial-order merge. Output is byte-identical for every budget; tests use
+/// small budgets to reach the multi-block path. params.rfi.policy must be
+/// kOff (throws std::invalid_argument otherwise) — single_pulse_search
+/// routes mitigation. Emits the `dedisp.sweep` span and `dedisp.*` /
+/// `dedisp.subband.*` counters.
 std::vector<SinglePulseEvent> subband_single_pulse_search(
     const Filterbank& fb, const DmGrid& grid,
     const SinglePulseSearchParams& params, std::size_t arena_budget_bytes);

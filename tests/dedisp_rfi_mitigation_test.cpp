@@ -8,6 +8,7 @@
 #include <cmath>
 #include <vector>
 
+#include "dedisp_reference.hpp"
 #include "dedisp/rfi_mitigation.hpp"
 #include "dedisp/single_pulse_search.hpp"
 #include "dedisp/streaming_sweep.hpp"
@@ -135,12 +136,11 @@ TEST(MaskedPlan, MaskedChannelContentsAreIrrelevant) {
   const auto masked_trashed = single_pulse_search(trashed, grid, params);
   ASSERT_FALSE(masked.empty());
   EXPECT_TRUE(events_identical(masked, masked_trashed));
-  // Subband path honors the mask identically.
-  params.method = SweepMethod::kSubband;
-  const auto sub = single_pulse_search(fb, grid, params);
-  const auto sub_trashed = single_pulse_search(trashed, grid, params);
-  EXPECT_TRUE(events_identical(masked, sub));
-  EXPECT_TRUE(events_identical(sub, sub_trashed));
+  // The reference sweep honours the mask identically, at 1 and auto groups.
+  EXPECT_TRUE(events_identical(masked, reference_sweep(fb, grid, params)));
+  params.subband_groups = 1;
+  EXPECT_TRUE(events_identical(single_pulse_search(trashed, grid, params),
+                               masked));
 }
 
 TEST(MaskedPlan, TailNormalizationUsesActiveChannelsOnly) {
@@ -321,8 +321,7 @@ TEST(Mitigation, BothPolicyMatchesSubbandRouting) {
   const DmGrid grid({{0.0, 60.0, 0.5}});
   SinglePulseSearchParams params;
   params.rfi.policy = MitigationPolicy::kBoth;
-  const auto exact = single_pulse_search(fb, grid, params);
-  params.method = SweepMethod::kSubband;
+  const auto exact = reference_sweep(fb, grid, params);
   const auto subband = single_pulse_search(fb, grid, params);
   ASSERT_FALSE(exact.empty());
   EXPECT_TRUE(events_identical(exact, subband));
@@ -359,6 +358,8 @@ TEST(Mitigation, StreamingMatchesOneShotUnderEveryPolicy) {
     }
     const auto reference = single_pulse_search(fb, grid, params);
     ASSERT_FALSE(reference.empty());
+    EXPECT_TRUE(events_identical(reference, reference_sweep(fb, grid, params)))
+        << "policy " << mitigation_policy_name(policy);
     for (std::size_t chunk : {64u, 301u, 5000u}) {
       EXPECT_TRUE(
           events_identical(stream_in_chunks(fb, grid, params, chunk),
@@ -391,21 +392,22 @@ TEST(Mitigation, ZeroDmHonoursExplicitChannelMask) {
   render_rfi_filterbank(draw_rfi_scenario(survey, cfg.obs_length_s, rng),
                         render, fb, rng);
   const DmGrid grid({{0.0, 60.0, 0.5}});
-  for (const SweepMethod method : {SweepMethod::kExact, SweepMethod::kSubband}) {
+  for (const std::size_t groups : {1u, 0u}) {
     SinglePulseSearchParams params;
-    params.method = method;
+    params.subband_groups = groups;
     params.rfi.policy = MitigationPolicy::kZeroDm;
     const auto unmasked = single_pulse_search(fb, grid, params);
     params.channel_mask.assign(cfg.num_channels, 0);
     params.channel_mask[2] = params.channel_mask[7] =
         params.channel_mask[11] = 1;
     const auto one_shot = single_pulse_search(fb, grid, params);
-    ASSERT_FALSE(one_shot.empty()) << sweep_method_name(method);
+    ASSERT_FALSE(one_shot.empty()) << "groups " << groups;
     EXPECT_TRUE(events_identical(
         one_shot, stream_in_chunks(fb, grid, params, fb.num_samples())))
-        << sweep_method_name(method);
-    EXPECT_FALSE(events_identical(one_shot, unmasked))
-        << sweep_method_name(method);
+        << "groups " << groups;
+    EXPECT_TRUE(events_identical(one_shot, reference_sweep(fb, grid, params)))
+        << "groups " << groups;
+    EXPECT_FALSE(events_identical(one_shot, unmasked)) << "groups " << groups;
   }
 }
 

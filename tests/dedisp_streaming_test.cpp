@@ -1,11 +1,15 @@
 // StreamingSweep: byte-identical equivalence with the one-shot sweep across
 // chunk sizes and thread counts, the chunk-boundary overlap regression (a
 // pulse straddling the boundary at every offset), and stream misuse errors.
+// Tests that probe the carry run at subband_groups 1 (the channel-order
+// sum, whose carry is the full-band max shift) and at the auto group count
+// (the shorter max-residual carry).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "dedisp_reference.hpp"
 #include "dedisp/single_pulse_search.hpp"
 #include "dedisp/streaming_sweep.hpp"
 #include "util/rng.hpp"
@@ -60,6 +64,7 @@ TEST(StreamingSweep, MatchesOneShotAcrossChunkSizesAndThreads) {
   const DmGrid grid({{0.0, 10.0, 0.01}, {10.0, 60.0, 0.1}});
   for (std::size_t threads : {1u, 2u, 8u}) {
     SinglePulseSearchParams params;
+    params.subband_groups = 1;
     params.exec.threads_per_worker = threads;
     const auto reference = single_pulse_search(fb, grid, params);
     ASSERT_FALSE(reference.empty());
@@ -147,7 +152,8 @@ TEST(StreamingSweep, PulseStraddlingChunkBoundaryAtEveryOffset) {
   fb.inject_pulse(3.0, 40.0, 4.0, 20.0);
 
   const DmGrid grid({{38.0, 42.0, 0.5}});
-  const SinglePulseSearchParams params;
+  SinglePulseSearchParams params;
+  params.subband_groups = 1;
   const auto reference = single_pulse_search(fb, grid, params);
   ASSERT_FALSE(reference.empty());
 
@@ -172,17 +178,16 @@ TEST(StreamingSweep, PulseStraddlingChunkBoundaryAtEveryOffset) {
   }
 }
 
-// Subband streaming: the stream accumulates coarse-node partials and
+// Auto group count: the stream accumulates coarse-node partials and
 // finalize synthesizes each plan — the result must stay byte-identical to
-// the one-shot subband sweep (and hence carry the exact method's event set)
-// for any chunking and thread count, while carrying only the subband plan's
-// max residual across chunk boundaries instead of the full-band max shift.
+// the one-shot sweep for any chunking and thread count, while carrying only
+// the subband plan's max residual across chunk boundaries instead of the
+// full-band max shift.
 TEST(StreamingSweep, SubbandMatchesOneShotSubbandAcrossChunksAndThreads) {
   const Filterbank fb = noisy_filterbank(small_config(), 21);
   const DmGrid grid({{0.0, 10.0, 0.01}, {10.0, 60.0, 0.1}});
   for (std::size_t threads : {1u, 2u, 8u}) {
     SinglePulseSearchParams params;
-    params.method = SweepMethod::kSubband;
     params.exec.threads_per_worker = threads;
     const auto reference = single_pulse_search(fb, grid, params);
     ASSERT_FALSE(reference.empty());
@@ -197,26 +202,25 @@ TEST(StreamingSweep, SubbandMatchesOneShotSubbandAcrossChunksAndThreads) {
 TEST(StreamingSweep, SubbandCarryIsMaxResidualNotFullBandShift) {
   const Filterbank fb = noisy_filterbank(small_config(), 23);
   const DmGrid grid({{0.0, 10.0, 0.01}, {10.0, 60.0, 0.1}});
-  SinglePulseSearchParams params;
-  StreamingSweep exact(fb.config(), grid, params);
-  params.method = SweepMethod::kSubband;
+  const SinglePulseSearchParams params;
   StreamingSweep subband(fb.config(), grid, params);
+  std::size_t full_band = 0;
+  for (const ShiftPlan& plan : build_sweep_plan(fb, grid).plans) {
+    full_band = std::max<std::size_t>(full_band, plan.max_shift);
+  }
   // The subband stage only ever looks back by a residual shift, so its
-  // overlap carry must be strictly smaller than the exact sweep's full-band
-  // max shift on this dispersion-dominated grid.
-  ASSERT_GT(exact.max_shift(), 0u);
-  EXPECT_LT(subband.max_shift(), exact.max_shift());
-  // And it still detects the exact oracle's event set.
-  params.method = SweepMethod::kExact;
-  const auto oracle = single_pulse_search(fb, grid, params);
-  params.method = SweepMethod::kSubband;
+  // overlap carry must be strictly smaller than the largest full-band max
+  // shift on this dispersion-dominated grid.
+  ASSERT_GT(full_band, 0u);
+  EXPECT_LT(subband.max_shift(), full_band);
+  // And it still detects the reference sweep's event set.
   const auto streamed = stream_in_chunks(fb, grid, params, 911);
-  EXPECT_TRUE(events_identical(streamed, oracle));
+  EXPECT_TRUE(events_identical(streamed, reference_sweep(fb, grid, params)));
 }
 
 TEST(StreamingSweep, SubbandPulseStraddlingEveryBoundaryOffset) {
-  // The same overlap/tail regression as the exact path, driven through the
-  // subband accumulator: a chunk split at every offset across the pulse.
+  // The same overlap/tail regression at the auto group count, whose carry
+  // is the max residual: a chunk split at every offset across the pulse.
   FilterbankConfig cfg = small_config();
   cfg.num_channels = 16;
   cfg.obs_length_s = 6.0;
@@ -226,8 +230,7 @@ TEST(StreamingSweep, SubbandPulseStraddlingEveryBoundaryOffset) {
   fb.inject_pulse(3.0, 40.0, 4.0, 20.0);
 
   const DmGrid grid({{38.0, 42.0, 0.5}});
-  SinglePulseSearchParams params;
-  params.method = SweepMethod::kSubband;
+  const SinglePulseSearchParams params;
   const auto reference = single_pulse_search(fb, grid, params);
   ASSERT_FALSE(reference.empty());
 
@@ -255,9 +258,9 @@ TEST(StreamingSweep, SubbandPulseStraddlingEveryBoundaryOffset) {
 TEST(StreamingSweep, OversizedFinalChunkClampsAndMatchesOneShot) {
   const Filterbank fb = noisy_filterbank(small_config(), 31);
   const DmGrid grid({{0.0, 10.0, 0.01}, {10.0, 60.0, 0.1}});
-  for (const SweepMethod method : {SweepMethod::kExact, SweepMethod::kSubband}) {
+  for (const std::size_t groups : {1u, 0u}) {
     SinglePulseSearchParams params;
-    params.method = method;
+    params.subband_groups = groups;
     const auto reference = single_pulse_search(fb, grid, params);
     ASSERT_FALSE(reference.empty());
 
@@ -270,7 +273,7 @@ TEST(StreamingSweep, OversizedFinalChunkClampsAndMatchesOneShot) {
       }
       EXPECT_EQ(sweep.samples_pushed(), total);
       EXPECT_TRUE(events_identical(sweep.finalize(), reference))
-          << "method " << static_cast<int>(method);
+          << "groups " << groups;
     }
     {  // one absurdly oversized push covers the whole observation
       StreamingSweep sweep(fb.config(), grid, params);
@@ -301,7 +304,8 @@ TEST(StreamingSweep, ZeroLengthChunksAreNoOps) {
 
 // An observation shorter than the grid's max shift: every plan's shifts are
 // clamped to the (tiny) sample count, the carry spans the whole observation,
-// and the stream must still agree with the one-shot sweep for both methods.
+// and the stream must still agree with the one-shot sweep at 1 and auto
+// groups.
 TEST(StreamingSweep, ObservationShorterThanMaxShiftMatchesOneShot) {
   FilterbankConfig cfg = small_config();
   cfg.obs_length_s = 0.25;  // 125 samples at 2 ms
@@ -311,9 +315,9 @@ TEST(StreamingSweep, ObservationShorterThanMaxShiftMatchesOneShot) {
 
   // DM 500 at 300–400 MHz shifts by far more than 125 samples.
   const DmGrid grid({{400.0, 500.0, 5.0}});
-  for (const SweepMethod method : {SweepMethod::kExact, SweepMethod::kSubband}) {
+  for (const std::size_t groups : {1u, 0u}) {
     SinglePulseSearchParams params;
-    params.method = method;
+    params.subband_groups = groups;
     params.snr_threshold = 4.0;
     const auto reference = single_pulse_search(fb, grid, params);
     StreamingSweep probe(cfg, grid, params);
@@ -321,7 +325,7 @@ TEST(StreamingSweep, ObservationShorterThanMaxShiftMatchesOneShot) {
     for (std::size_t chunk : {1u, 7u, 125u, 1000u}) {
       const auto streamed = stream_in_chunks(fb, grid, params, chunk);
       EXPECT_TRUE(events_identical(streamed, reference))
-          << "chunk " << chunk << ", method " << static_cast<int>(method);
+          << "chunk " << chunk << ", groups " << groups;
     }
   }
 }
@@ -333,9 +337,9 @@ TEST(StreamingSweep, ObservationShorterThanMaxShiftMatchesOneShot) {
 TEST(StreamingSweep, FirstChunkBracketsCarryLength) {
   const Filterbank fb = noisy_filterbank(small_config(), 37);
   const DmGrid grid({{0.0, 10.0, 0.01}, {10.0, 60.0, 0.1}});
-  for (const SweepMethod method : {SweepMethod::kExact, SweepMethod::kSubband}) {
+  for (const std::size_t groups : {1u, 0u}) {
     SinglePulseSearchParams params;
-    params.method = method;
+    params.subband_groups = groups;
     const auto reference = single_pulse_search(fb, grid, params);
     StreamingSweep probe(fb.config(), grid, params);
     const std::size_t max_shift = probe.max_shift();
@@ -349,7 +353,7 @@ TEST(StreamingSweep, FirstChunkBracketsCarryLength) {
       sweep.push(fb, first, total - first);
       ASSERT_TRUE(events_identical(sweep.finalize(), reference))
           << "first chunk " << first << " (max_shift " << max_shift
-          << "), method " << static_cast<int>(method);
+          << "), groups " << groups;
     }
   }
 }
@@ -383,6 +387,18 @@ TEST(StreamingSweep, RejectsMisuse) {
     const Filterbank small(other);
     StreamingSweep sweep(cfg, grid);
     EXPECT_THROW(sweep.push(small, 0, 10), std::invalid_argument);
+  }
+  {  // same shape, another band: the 350 MHz shift plan would dedisperse
+     // 1400 MHz data with the wrong delays
+    FilterbankConfig other = cfg;
+    other.center_freq_mhz = 1400.0;
+    const Filterbank lband = noisy_filterbank(other, 3);
+    StreamingSweep sweep(cfg, grid);
+    EXPECT_THROW(sweep.push(lband, 0, 10), std::invalid_argument);
+    other = cfg;
+    other.bandwidth_mhz = 50.0;
+    const Filterbank narrow = noisy_filterbank(other, 3);
+    EXPECT_THROW(sweep.push(narrow, 0, 10), std::invalid_argument);
   }
   {  // finalize twice, push after finalize
     StreamingSweep sweep(cfg, grid);

@@ -1,14 +1,19 @@
-// Two-stage subband dedispersion (dedisp/subband_sweep.hpp) against the
-// exact PR 5 sweep as oracle: detected-event-set identity on synthetic
-// survey grids, per-series error bounds, plan-decomposition invariants,
-// degenerate group counts, thread-count determinism, the count-only group
-// ladder, and the arena-budget block split.
+// The subband sweep engine (dedisp/subband_sweep.hpp) against the
+// channel-order reference sweep (dedisp_reference.hpp) as oracle: bit-for-
+// bit identity at 1 and C groups, detected-event-set identity at the auto
+// group count on synthetic survey grids, per-series error bounds,
+// plan-decomposition invariants, degenerate group counts, thread-count
+// determinism, the count-only group ladder, and the arena-budget block
+// split.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "dedisp_reference.hpp"
 #include "dedisp/rfi_mitigation.hpp"
 #include "dedisp/single_pulse_search.hpp"
 #include "dedisp/streaming_sweep.hpp"
@@ -54,24 +59,50 @@ bool events_identical(const std::vector<SinglePulseEvent>& a,
 }
 
 std::vector<SinglePulseEvent> run(const Filterbank& fb, const DmGrid& grid,
-                                  SweepMethod method, std::size_t groups = 0,
+                                  std::size_t groups = 0,
                                   std::size_t threads = 1) {
   SinglePulseSearchParams params;
-  params.method = method;
   params.subband_groups = groups;
   params.exec.threads_per_worker = threads;
   return single_pulse_search(fb, grid, params);
 }
 
+std::vector<SinglePulseEvent> reference(const Filterbank& fb,
+                                        const DmGrid& grid) {
+  return reference_sweep(fb, grid, {});
+}
+
+/// Dedisperses one plan through both subband stages + normalize_tail into
+/// scratch.series — the series the engine detects on, for error-bound
+/// assertions against dedisperse_plan.
+void subband_series(const Filterbank& fb, const SweepPlan& sweep,
+                    const SubbandPlan& sub, std::size_t plan_index,
+                    DedispScratch& scratch) {
+  const std::size_t n = fb.num_samples();
+  const std::size_t num_groups = sub.groups.size();
+  const ChannelRows rows{fb.channel_data(0), n, 0};
+  std::vector<double> nodes(num_groups * n);
+  scratch.nodes.resize(num_groups);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    double* slot = nodes.data() + g * n;
+    accumulate_subband_node(
+        rows, sub, sub.pattern_base[g] + sub.entry(plan_index, g).pattern, n,
+        0, n, slot);
+    scratch.nodes[g] = slot;
+  }
+  combine_subband_series(sub, plan_index, scratch.nodes.data(), n, scratch);
+  normalize_tail(sweep.plans[plan_index], fb.num_channels(), scratch.series,
+                 scratch.contrib_prefix);
+}
+
 TEST(SubbandSweep, EventSetIdenticalToOracleOnGbt350Survey) {
   const Filterbank fb = survey_filterbank(350.0, 100.0, 32, 3);
   const DmGrid grid = DmGrid::gbt350drift().prefix(8.0);
-  const auto exact = run(fb, grid, SweepMethod::kExact);
+  const auto exact = reference(fb, grid);
   ASSERT_FALSE(exact.empty());
-  EXPECT_TRUE(events_identical(run(fb, grid, SweepMethod::kSubband), exact));
+  EXPECT_TRUE(events_identical(run(fb, grid), exact));
   // An explicit non-auto group count must agree too.
-  EXPECT_TRUE(
-      events_identical(run(fb, grid, SweepMethod::kSubband, 4), exact));
+  EXPECT_TRUE(events_identical(run(fb, grid, 4), exact));
 }
 
 TEST(SubbandSweep, EventSetIdenticalToOracleOnPalfaSurvey) {
@@ -79,9 +110,9 @@ TEST(SubbandSweep, EventSetIdenticalToOracleOnPalfaSurvey) {
   // same DM — a different residual-pattern census than the 350 MHz band.
   const Filterbank fb = survey_filterbank(1400.0, 300.0, 48, 5);
   const DmGrid grid = DmGrid::palfa().prefix(10.0);
-  const auto exact = run(fb, grid, SweepMethod::kExact);
+  const auto exact = reference(fb, grid);
   ASSERT_FALSE(exact.empty());
-  EXPECT_TRUE(events_identical(run(fb, grid, SweepMethod::kSubband), exact));
+  EXPECT_TRUE(events_identical(run(fb, grid), exact));
 }
 
 TEST(SubbandSweep, PerSeriesErrorStaysWithinDocumentedBound) {
@@ -164,14 +195,13 @@ TEST(SubbandSweep, SingleChannelFilterbankDegenerate) {
   fb.add_noise(rng, 1.0);
   fb.inject_broadband_impulse(3.0, 6.0);
   const DmGrid grid({{0.0, 20.0, 0.5}});
-  const auto exact = run(fb, grid, SweepMethod::kExact);
-  EXPECT_TRUE(events_identical(run(fb, grid, SweepMethod::kSubband), exact));
+  EXPECT_TRUE(events_identical(run(fb, grid), reference(fb, grid)));
 }
 
 TEST(SubbandSweep, DegenerateGroupCountsAllMatchOracle) {
   const Filterbank fb = survey_filterbank(350.0, 100.0, 16, 13);
   const DmGrid grid({{0.0, 15.0, 0.05}});
-  const auto exact = run(fb, grid, SweepMethod::kExact);
+  const auto exact = reference(fb, grid);
   ASSERT_FALSE(exact.empty());
   // One group: patterns ≈ plans, no reuse but still correct. Groups ==
   // channels: every pattern is {0} and stage 2 is the whole dedispersion.
@@ -179,7 +209,7 @@ TEST(SubbandSweep, DegenerateGroupCountsAllMatchOracle) {
   for (const std::size_t groups :
        {std::size_t{1}, fb.num_channels(), fb.num_channels() * 10}) {
     EXPECT_TRUE(
-        events_identical(run(fb, grid, SweepMethod::kSubband, groups), exact))
+        events_identical(run(fb, grid, groups), exact))
         << "groups=" << groups;
   }
 }
@@ -187,12 +217,10 @@ TEST(SubbandSweep, DegenerateGroupCountsAllMatchOracle) {
 TEST(SubbandSweep, ThreadCountDoesNotChangeOutput) {
   const Filterbank fb = survey_filterbank(350.0, 100.0, 32, 17);
   const DmGrid grid = DmGrid::gbt350drift().prefix(6.0);
-  const auto one = run(fb, grid, SweepMethod::kSubband, 0, 1);
+  const auto one = run(fb, grid, 0, 1);
   ASSERT_FALSE(one.empty());
-  EXPECT_TRUE(
-      events_identical(run(fb, grid, SweepMethod::kSubband, 0, 2), one));
-  EXPECT_TRUE(
-      events_identical(run(fb, grid, SweepMethod::kSubband, 0, 8), one));
+  EXPECT_TRUE(events_identical(run(fb, grid, 0, 2), one));
+  EXPECT_TRUE(events_identical(run(fb, grid, 0, 8), one));
 }
 
 TEST(SubbandSweep, StridedGridMatchesOracle) {
@@ -200,10 +228,8 @@ TEST(SubbandSweep, StridedGridMatchesOracle) {
   const DmGrid grid({{0.0, 8.0, 0.002}});
   SinglePulseSearchParams params;
   params.dm_stride = 3;
-  params.method = SweepMethod::kExact;
-  const auto exact = single_pulse_search(fb, grid, params);
-  params.method = SweepMethod::kSubband;
-  EXPECT_TRUE(events_identical(single_pulse_search(fb, grid, params), exact));
+  EXPECT_TRUE(events_identical(single_pulse_search(fb, grid, params),
+                               reference_sweep(fb, grid, params)));
 }
 
 // --- survey-shaped input: 64 channels, dirty RFI, a masked plan ------------
@@ -253,11 +279,9 @@ const DmGrid& masked_survey_grid() {
 }
 
 SinglePulseSearchParams masked_survey_params(const MaskedSurvey& survey,
-                                             SweepMethod method,
                                              std::size_t threads) {
   SinglePulseSearchParams params;
   params.snr_threshold = SurveyConfig::ska_mid().snr_threshold;
-  params.method = method;
   params.exec = ExecPolicy::local(threads);
   params.channel_mask = survey.mask;
   return params;
@@ -270,12 +294,12 @@ TEST(SubbandSweep, SurveyShapedMaskedInputMatchesOracleAtEveryThreadCount) {
   ASSERT_GT(masked, 0u);
   ASSERT_LT(masked, survey.fb.num_channels());
   const DmGrid& grid = masked_survey_grid();
-  const auto oracle = single_pulse_search(
-      survey.fb, grid, masked_survey_params(survey, SweepMethod::kExact, 1));
+  const auto oracle =
+      reference_sweep(survey.fb, grid, masked_survey_params(survey, 1));
   ASSERT_FALSE(oracle.empty());
   for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
     const SinglePulseSearchParams params =
-        masked_survey_params(survey, SweepMethod::kSubband, threads);
+        masked_survey_params(survey, threads);
     EXPECT_TRUE(
         events_identical(single_pulse_search(survey.fb, grid, params), oracle))
         << "one-shot subband, threads=" << threads;
@@ -345,7 +369,7 @@ TEST(SubbandSweep, OverBudgetBlockSplitIsByteIdenticalToOneBlock) {
   auto& blocks = obs::global_counters().counter("dedisp.subband.blocks");
   for (const std::size_t threads : {1u, 3u}) {
     const SinglePulseSearchParams params =
-        masked_survey_params(survey, SweepMethod::kSubband, threads);
+        masked_survey_params(survey, threads);
     std::int64_t before = blocks.value();
     const auto one_block = detail::subband_single_pulse_search(
         survey.fb, grid, params, std::size_t{1} << 40);
@@ -368,19 +392,94 @@ TEST(SubbandSweep, OverBudgetBlockSplitIsByteIdenticalToOneBlock) {
 TEST(SubbandSweep, BudgetedSeamRejectsUnroutedMitigation) {
   const Filterbank fb = survey_filterbank(350.0, 100.0, 16, 29);
   SinglePulseSearchParams params;
-  params.method = SweepMethod::kSubband;
   params.rfi.policy = MitigationPolicy::kZeroDm;
   EXPECT_THROW(detail::subband_single_pulse_search(
                    fb, DmGrid({{0.0, 5.0, 0.5}}), params, 1 << 20),
                std::invalid_argument);
 }
 
-TEST(SweepMethodKnob, ParsesAndNames) {
-  EXPECT_EQ(parse_sweep_method("exact"), SweepMethod::kExact);
-  EXPECT_EQ(parse_sweep_method("subband"), SweepMethod::kSubband);
-  EXPECT_THROW(parse_sweep_method("fdmt"), std::invalid_argument);
-  EXPECT_STREQ(sweep_method_name(SweepMethod::kExact), "exact");
-  EXPECT_STREQ(sweep_method_name(SweepMethod::kSubband), "subband");
+// --- the engine against the reference, bit for bit -------------------------
+
+/// One input shape for the reference-identity property: odd sample and
+/// channel counts throughout, plus masking (channel 0 included, so a group
+/// base is nonzero), a strided fine-step grid, and DMs whose shifts clamp
+/// at the observation end. Channel gains span 2^-20..2^20, so the double
+/// sums of float samples round and any change of summation order shows in
+/// the bits (unit-gain noise sums exactly in double whatever the order).
+struct ReferenceCase {
+  const char* name;
+  std::size_t channels;
+  double obs_length_s;
+  DmGrid grid;
+  std::size_t dm_stride;
+  std::vector<std::size_t> masked;
+};
+
+std::vector<SinglePulseEvent> stream_in_chunks(
+    const Filterbank& fb, const DmGrid& grid,
+    const SinglePulseSearchParams& params, std::size_t chunk) {
+  StreamingSweep stream(fb.config(), grid, params);
+  for (std::size_t begin = 0; begin < stream.total_samples(); begin += chunk) {
+    stream.push(fb, begin, chunk);
+  }
+  return stream.finalize();
+}
+
+TEST(SubbandEngine, OneAndAllGroupsMatchReferenceBitForBit) {
+  const ReferenceCase cases[] = {
+      {"plain", 13, 3.002, DmGrid({{0.0, 30.0, 0.25}}), 1, {}},
+      {"masked", 15, 2.998, DmGrid({{0.0, 40.0, 0.5}}), 1, {0, 6, 11}},
+      {"strided", 11, 3.006, DmGrid({{0.0, 8.0, 0.002}}), 3, {}},
+      {"clamped", 9, 0.25, DmGrid({{0.0, 500.0, 5.0}}), 1, {4}},
+  };
+  std::uint64_t seed = 51;
+  for (const ReferenceCase& c : cases) {
+    FilterbankConfig cfg;
+    cfg.center_freq_mhz = 350.0;
+    cfg.bandwidth_mhz = 100.0;
+    cfg.num_channels = c.channels;
+    cfg.sample_time_ms = 2.0;
+    cfg.obs_length_s = c.obs_length_s;
+    Filterbank fb(cfg);
+    Rng rng(seed++);
+    fb.add_noise(rng, 1.0);
+    fb.inject_pulse(c.obs_length_s / 3.0, 12.0, 3.0, 20.0);
+    fb.inject_broadband_impulse(c.obs_length_s * 0.75, 6.0);
+    for (std::size_t ch = 0; ch < c.channels; ++ch) {
+      const float gain =
+          std::ldexp(1.0f, static_cast<int>((ch * 7) % 41) - 20);
+      float* row = fb.channel_data(ch);
+      for (std::size_t s = 0; s < fb.num_samples(); ++s) row[s] *= gain;
+    }
+    ASSERT_EQ(fb.num_samples() % 2, 1u) << c.name;
+
+    SinglePulseSearchParams params;
+    params.snr_threshold = 4.0;
+    params.dm_stride = c.dm_stride;
+    if (!c.masked.empty()) {
+      params.channel_mask.assign(c.channels, 0);
+      for (std::size_t m : c.masked) params.channel_mask[m] = 1;
+    }
+    const auto oracle = reference_sweep(fb, c.grid, params);
+    ASSERT_FALSE(oracle.empty()) << c.name;
+    for (const std::size_t groups : {std::size_t{1}, c.channels}) {
+      for (const std::size_t threads : {1u, 3u}) {
+        params.subband_groups = groups;
+        params.exec.threads_per_worker = threads;
+        const std::string where = std::string(c.name) +
+                                  " groups=" + std::to_string(groups) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_TRUE(events_identical(single_pulse_search(fb, c.grid, params),
+                                     oracle))
+            << "one-shot " << where;
+        for (const std::size_t chunk : {std::size_t{97}, fb.num_samples()}) {
+          EXPECT_TRUE(events_identical(
+              stream_in_chunks(fb, c.grid, params, chunk), oracle))
+              << "streamed chunk=" << chunk << " " << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // The shift-plan DM sweep: dedup equivalence against per-trial dedispersion,
-// tail-normalization edge cases, scratch reuse, and cross-thread determinism.
+// tail-normalization edge cases, scratch reuse, cross-thread determinism,
+// and the engine's counters and spans.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -225,6 +226,7 @@ TEST(SinglePulseSearch, EmitsCountersAndSpans) {
   const std::int64_t trials_before = snapshot("dedisp.trials");
   const std::int64_t plans_before = snapshot("dedisp.plans_unique");
   const std::int64_t hits_before = snapshot("dedisp.plan_dedup_hits");
+  const std::int64_t blocks_before = snapshot("dedisp.subband.blocks");
 
   auto& tracer = obs::global_tracer();
   tracer.clear();
@@ -238,19 +240,22 @@ TEST(SinglePulseSearch, EmitsCountersAndSpans) {
   const std::int64_t hits = snapshot("dedisp.plan_dedup_hits") - hits_before;
   EXPECT_GT(unique, 0);
   EXPECT_EQ(unique + hits, static_cast<std::int64_t>(grid.size()));
+  const std::int64_t blocks = snapshot("dedisp.subband.blocks") - blocks_before;
+  EXPECT_GT(blocks, 0);
 
-  bool saw_sweep = false;
-  std::size_t plan_spans = 0;
+  // One engine span per sweep, one block span per stage-1 + stage-2 block.
+  std::size_t sweep_spans = 0;
+  std::size_t block_spans = 0;
   for (const auto& event : tracer.events()) {
     if (event.phase != obs::TraceEvent::Phase::kBegin) continue;
     if (event.name == "dedisp.sweep") {
-      saw_sweep = true;
+      ++sweep_spans;
       EXPECT_EQ(event.category, "dedisp");
     }
-    plan_spans += event.name == "dedisp.plan";
+    block_spans += event.name == "dedisp.subband.block";
   }
-  EXPECT_TRUE(saw_sweep);
-  EXPECT_EQ(plan_spans, static_cast<std::size_t>(unique));
+  EXPECT_EQ(sweep_spans, 1u);
+  EXPECT_EQ(block_spans, static_cast<std::size_t>(blocks));
   EXPECT_EQ(tracer.open_spans(), 0u);
   tracer.clear();
   (void)events;

@@ -20,14 +20,13 @@
 //                   [--learner RF|J48|PART|JRip|SMO|MPN] [--smote]
 //       5-fold cross-validates a labeled ML file and reports the scores
 //   drapid sweep [--fil FILE] [--survey gbt350|palfa|fast_crafts|ska_mid]
-//                [--sweep exact|subband] [--rfi off|zerodm|mask|both]
-//                [--groups N] [--threads N] [--snr X] [--stride N]
-//                [--dm-max X] [--out FILE]
+//                [--rfi off|zerodm|mask|both] [--groups N] [--threads N]
+//                [--snr X] [--stride N] [--dm-max X] [--out FILE]
 //       dedisperses a SIGPROC .fil file (or a synthesized demo observation)
-//       over the survey's DM grid and writes a PRESTO-style .singlepulse
-//       file; --sweep=subband runs the two-stage subband method, whose
-//       detected events are identical to the exact sweep; --rfi selects the
-//       mitigation stage (zero-DM subtraction and/or robust channel masking)
+//       over the survey's DM grid with the two-stage subband sweep and
+//       writes a PRESTO-style .singlepulse file; --groups 1 is the exact
+//       channel-order sum; --rfi selects the mitigation stage (zero-DM
+//       subtraction and/or robust channel masking)
 //
 // Every subcommand is deterministic for a given --seed.
 #include <fstream>
@@ -325,7 +324,6 @@ int cmd_classify(int argc, const char* const argv[]) {
 int cmd_sweep(int argc, const char* const argv[]) {
   Options opts(argc, argv, {{"fil", ""},
                             {"survey", "gbt350"},
-                            {"sweep", "exact"},
                             {"rfi", "off"},
                             {"groups", "0"},
                             {"threads", "1"},
@@ -343,9 +341,10 @@ int cmd_sweep(int argc, const char* const argv[]) {
         "preset's structured-RFI scenario when it defines one) over the "
         "--survey DM grid up to "
         "--dm-max (0 = the full grid) and writes the detected events as a "
-        "PRESTO-style .singlepulse file. --sweep=subband selects the "
-        "two-stage subband method (identical detected events, groups picked "
-        "by cost model unless --groups is set). --rfi=zerodm|mask|both runs "
+        "PRESTO-style .singlepulse file. The sweep is the two-stage subband "
+        "method, with channel groups picked by cost model unless --groups is "
+        "set (--groups 1 is the exact channel-order sum, bit for bit). "
+        "--rfi=zerodm|mask|both runs "
         "the mitigation stage (zero-DM subtraction, robust channel masking) "
         "before the sweep.");
     return 0;
@@ -383,7 +382,6 @@ int cmd_sweep(int argc, const char* const argv[]) {
   if (opts.number("dm-max") > 0.0) grid = grid.prefix(opts.number("dm-max"));
 
   SinglePulseSearchParams params;
-  params.method = parse_sweep_method(opts.str("sweep"));
   params.subband_groups = static_cast<std::size_t>(opts.integer("groups"));
   params.exec.threads_per_worker =
       static_cast<std::size_t>(opts.integer("threads"));
@@ -397,8 +395,7 @@ int cmd_sweep(int argc, const char* const argv[]) {
   write_singlepulse(out, events);
   std::cout << "swept " << fb.num_channels() << " channels x "
             << fb.num_samples() << " samples over " << grid.size()
-            << " trial DMs (" << sweep_method_name(params.method)
-            << " sweep, " << kernels::dispatch_name() << " kernels, rfi="
+            << " trial DMs (" << kernels::dispatch_name() << " kernels, rfi="
             << mitigation_policy_name(params.rfi.policy) << ", "
             << params.exec.threads_per_worker << " thread(s))\n"
             << "wrote " << events.size() << " events to " << opts.str("out")
