@@ -295,6 +295,13 @@ Filterbank Filterbank::read_fil(const std::string& path) {
                          " (file changed underneath?)");
     }
     for (std::size_t c = 0; c < fb.num_channels(); ++c) {
+      // A NaN or infinity would poison every dedispersed series it feeds
+      // (and break the ordering the median/MAD selections rely on), so the
+      // reader rejects it here, where the frame and channel can be named.
+      if (!std::isfinite(frame[c])) {
+        fil_fail(path, "non-finite sample in frame " + std::to_string(s) +
+                           ", channel " + std::to_string(c));
+      }
       fb.at(c, static_cast<std::size_t>(s)) = frame[c];
     }
   }

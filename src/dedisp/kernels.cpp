@@ -37,9 +37,21 @@ void combine_f64(double* out, const double* const* in, std::size_t ngroups,
   }
 }
 
-void abs_deviation(double* out, const double* in, std::size_t n,
-                   double center) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::abs(in[i] - center);
+std::size_t bracket_compact(const double* x, std::size_t n, double center,
+                            bool deviation, double lo, double hi, double* out,
+                            std::size_t* below) {
+  // Branch-free: every y is written at the cursor, which advances only for
+  // in-bracket values (the cursor never passes i, so out[m] stays in room).
+  std::size_t m = 0;
+  std::size_t nb = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double y = deviation ? std::abs(x[i] - center) : x[i];
+    out[m] = y;
+    m += static_cast<std::size_t>((y >= lo) & (y <= hi));
+    nb += static_cast<std::size_t>(y < lo);
+  }
+  *below = nb;
+  return m;
 }
 
 double select_kth(double* v, double* scratch, std::size_t n, std::size_t k) {
@@ -50,14 +62,38 @@ double select_kth(double* v, double* scratch, std::size_t n, std::size_t k) {
   return v[k];
 }
 
-void certify_below(const double* prefix, std::size_t begin, std::size_t end,
-                   std::size_t back, std::size_t ahead, double bound,
-                   unsigned char* below) {
-  for (std::size_t c = begin; c < end; ++c) {
-    below[c] &=
-        static_cast<unsigned char>(prefix[c + ahead] - prefix[c - back] <
-                                   bound);
+std::size_t uncertified_centers(const double* prefix, std::size_t n,
+                                const CertBoxcar* boxes, std::size_t nboxes,
+                                std::uint32_t* out) {
+  // Centers in [first, last) have every boxcar applicable and skip the
+  // per-boxcar applicability test; each center is written at the cursor,
+  // which advances only when some boxcar fails.
+  std::size_t max_back = 0;
+  std::size_t max_ahead = 0;
+  for (std::size_t b = 0; b < nboxes; ++b) {
+    max_back = std::max(max_back, boxes[b].back);
+    max_ahead = std::max(max_ahead, boxes[b].ahead);
   }
+  const std::size_t first = std::min(max_back, n);
+  const std::size_t last =
+      n >= max_ahead ? std::clamp(n - max_ahead + 1, first, n) : first;
+  std::size_t count = 0;
+  const auto scan = [&](std::size_t begin, std::size_t end, bool edge) {
+    for (std::size_t c = begin; c < end; ++c) {
+      bool fails = false;
+      for (std::size_t b = 0; b < nboxes; ++b) {
+        const CertBoxcar& box = boxes[b];
+        if (edge && (c < box.back || n - c < box.ahead)) continue;
+        fails |= !(prefix[c + box.ahead] - prefix[c - box.back] < box.bound);
+      }
+      out[count] = static_cast<std::uint32_t>(c);
+      count += static_cast<std::size_t>(fails);
+    }
+  };
+  scan(0, first, true);
+  scan(first, last, false);
+  scan(last, n, true);
+  return count;
 }
 
 }  // namespace scalar
@@ -117,13 +153,14 @@ void combine_f64(double* out, const double* const* in, std::size_t ngroups,
   }
 }
 
-void abs_deviation(double* out, const double* in, std::size_t n,
-                   double center) {
-  if (using_avx2()) {
-    avx2::abs_deviation(out, in, n, center);
-  } else {
-    scalar::abs_deviation(out, in, n, center);
-  }
+std::size_t bracket_compact(const double* x, std::size_t n, double center,
+                            bool deviation, double lo, double hi, double* out,
+                            std::size_t* below) {
+  return using_avx2()
+             ? avx2::bracket_compact(x, n, center, deviation, lo, hi, out,
+                                     below)
+             : scalar::bracket_compact(x, n, center, deviation, lo, hi, out,
+                                       below);
 }
 
 double select_kth(double* v, double* scratch, std::size_t n, std::size_t k) {
@@ -131,14 +168,12 @@ double select_kth(double* v, double* scratch, std::size_t n, std::size_t k) {
                       : scalar::select_kth(v, scratch, n, k);
 }
 
-void certify_below(const double* prefix, std::size_t begin, std::size_t end,
-                   std::size_t back, std::size_t ahead, double bound,
-                   unsigned char* below) {
-  if (using_avx2()) {
-    avx2::certify_below(prefix, begin, end, back, ahead, bound, below);
-  } else {
-    scalar::certify_below(prefix, begin, end, back, ahead, bound, below);
-  }
+std::size_t uncertified_centers(const double* prefix, std::size_t n,
+                                const CertBoxcar* boxes, std::size_t nboxes,
+                                std::uint32_t* out) {
+  return using_avx2()
+             ? avx2::uncertified_centers(prefix, n, boxes, nboxes, out)
+             : scalar::uncertified_centers(prefix, n, boxes, nboxes, out);
 }
 
 #if !defined(__x86_64__) && !defined(__i386__)
@@ -155,17 +190,18 @@ void combine_f64(double* out, const double* const* in, std::size_t ngroups,
                  std::size_t n) {
   scalar::combine_f64(out, in, ngroups, n);
 }
-void abs_deviation(double* out, const double* in, std::size_t n,
-                   double center) {
-  scalar::abs_deviation(out, in, n, center);
+std::size_t bracket_compact(const double* x, std::size_t n, double center,
+                            bool deviation, double lo, double hi, double* out,
+                            std::size_t* below) {
+  return scalar::bracket_compact(x, n, center, deviation, lo, hi, out, below);
 }
 double select_kth(double* v, double* scratch, std::size_t n, std::size_t k) {
   return scalar::select_kth(v, scratch, n, k);
 }
-void certify_below(const double* prefix, std::size_t begin, std::size_t end,
-                   std::size_t back, std::size_t ahead, double bound,
-                   unsigned char* below) {
-  scalar::certify_below(prefix, begin, end, back, ahead, bound, below);
+std::size_t uncertified_centers(const double* prefix, std::size_t n,
+                                const CertBoxcar* boxes, std::size_t nboxes,
+                                std::uint32_t* out) {
+  return scalar::uncertified_centers(prefix, n, boxes, nboxes, out);
 }
 }  // namespace avx2
 #endif

@@ -2,20 +2,23 @@
 //
 // The DM sweep spends its time in four tight loops: the float→double
 // accumulation that sums shifted channel rows, the double→double accumulation
-// that combines subband partials, the selection passes behind the
-// median/MAD standardization in robust_stats, and the threshold-certificate
-// scan of detect_events_into. Each one gets a hand-vectorized AVX2
-// implementation here, selected once at process start via CPUID with a
-// portable scalar fallback.
+// that combines subband partials, the bracket and selection passes behind
+// the median/MAD standardization in robust_stats, and the one-pass
+// threshold certificate of detect_events_into. Each one gets a
+// hand-vectorized AVX2 implementation here, selected once at process start
+// via CPUID with a portable scalar twin.
 //
-// Every kernel is *exact*: the elementwise kernels (accumulate, abs
-// deviation, certificate compare) do the same operation per element in the
-// same order as the scalar loop, and select_kth returns the k-th smallest
-// element of the array — a value that does not depend on the selection
-// algorithm. So the AVX2 and scalar paths produce bit-identical results, and
-// the scalar path is bit-identical to the pre-kernel seed code. (The subband
-// sweep's bounded series error comes from *regrouping* channel sums, not
-// from these kernels — see subband_sweep.hpp.)
+// Every kernel is *exact*: the elementwise kernels (accumulate, bracket
+// compaction, certificate compare) do the same operation per element as the
+// scalar twin and emit in the same order, and select_kth returns the k-th
+// smallest element of the array — a value that does not depend on the
+// selection algorithm. So the AVX2 and scalar paths produce bit-identical
+// results. (The subband sweep's bounded series error comes from
+// *regrouping* channel sums, not from these kernels — see subband_sweep.hpp.)
+//
+// Finite input is a precondition of the bracket and selection kernels: a
+// NaN breaks the strict weak ordering an exact selection assumes (the
+// SIGPROC reader rejects non-finite samples for this reason).
 //
 // Dispatch: AVX2 is used when the CPU reports it and the environment does
 // not say otherwise; `DRAPID_FORCE_SCALAR=1` pins the scalar path (the CI
@@ -25,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace drapid {
 namespace kernels {
@@ -59,11 +63,15 @@ void accumulate_f64(double* out, const double* in, std::size_t n);
 void combine_f64(double* out, const double* const* in, std::size_t ngroups,
                  std::size_t n);
 
-/// out[i] = |in[i] - center| for i in [0, n): the deviation pass between
-/// the median and MAD selections of robust_stats, fused with the workspace
-/// refill (select_kth consumed the previous fill). in and out may alias.
-void abs_deviation(double* out, const double* in, std::size_t n,
-                   double center);
+/// One pass of the bracketed selection behind robust_stats. With
+/// y[i] = x[i] (deviation false) or |x[i] - center| (deviation true),
+/// stores the number of y[i] < lo in *below and compacts every
+/// lo <= y[i] <= hi into out, in input order; returns the compacted count.
+/// `out` needs room for n values and must not alias x. With lo = -inf and
+/// hi = +inf this is a plain copy (or the full deviation fill) of x.
+std::size_t bracket_compact(const double* x, std::size_t n, double center,
+                            bool deviation, double lo, double hi, double* out,
+                            std::size_t* below);
 
 /// Returns the k-th smallest element of v[0..n) (0-based; k < n, n > 0).
 /// CONSUMES v and scratch (same length n): the AVX2 path partitions
@@ -75,13 +83,25 @@ void abs_deviation(double* out, const double* in, std::size_t n,
 /// detection stage's largest cost.
 double select_kth(double* v, double* scratch, std::size_t n, std::size_t k);
 
-/// below[c] &= (prefix[c + ahead] - prefix[c - back] < bound) for c in
-/// [begin, end): one boxcar's contribution to the division-free threshold
-/// certificate of detect_events_into. Callers pass begin >= back and
-/// end + ahead <= prefix length.
-void certify_below(const double* prefix, std::size_t begin, std::size_t end,
-                   std::size_t back, std::size_t ahead, double bound,
-                   unsigned char* below);
+/// One boxcar of the division-free threshold certificate: a width-w boxcar
+/// attributed to center c sums prefix[c + ahead] - prefix[c - back]
+/// (back = w/2, ahead = w - w/2), and a sum below `bound` certifies that
+/// its S/N is below threshold.
+struct CertBoxcar {
+  std::size_t back;
+  std::size_t ahead;
+  double bound;
+};
+
+/// The one-pass certificate of detect_events_into: writes to out, in
+/// ascending order, every center c in [0, n) that some *applicable* boxcar
+/// (back <= c and c + ahead <= n) fails to certify — where
+/// !(prefix[c + ahead] - prefix[c - back] < bound) — and returns how many.
+/// A center no boxcar applies to is certified. `prefix` has n + 1 entries;
+/// `out` needs room for n values; n must fit in uint32.
+std::size_t uncertified_centers(const double* prefix, std::size_t n,
+                                const CertBoxcar* boxes, std::size_t nboxes,
+                                std::uint32_t* out);
 
 // --- direct paths (for tests and the dispatcher) ----------------------------
 
@@ -91,12 +111,13 @@ void accumulate_f64(double* out, const double* in, std::size_t n);
 void combine_f64(double* out, const double* const* in, std::size_t ngroups,
                  std::size_t n);
 
-void abs_deviation(double* out, const double* in, std::size_t n,
-                   double center);
+std::size_t bracket_compact(const double* x, std::size_t n, double center,
+                            bool deviation, double lo, double hi, double* out,
+                            std::size_t* below);
 double select_kth(double* v, double* scratch, std::size_t n, std::size_t k);
-void certify_below(const double* prefix, std::size_t begin, std::size_t end,
-                   std::size_t back, std::size_t ahead, double bound,
-                   unsigned char* below);
+std::size_t uncertified_centers(const double* prefix, std::size_t n,
+                                const CertBoxcar* boxes, std::size_t nboxes,
+                                std::uint32_t* out);
 }  // namespace scalar
 
 /// Only callable when avx2_supported(); the dispatcher never routes here
@@ -107,12 +128,13 @@ void accumulate_f64(double* out, const double* in, std::size_t n);
 void combine_f64(double* out, const double* const* in, std::size_t ngroups,
                  std::size_t n);
 
-void abs_deviation(double* out, const double* in, std::size_t n,
-                   double center);
+std::size_t bracket_compact(const double* x, std::size_t n, double center,
+                            bool deviation, double lo, double hi, double* out,
+                            std::size_t* below);
 double select_kth(double* v, double* scratch, std::size_t n, std::size_t k);
-void certify_below(const double* prefix, std::size_t begin, std::size_t end,
-                   std::size_t back, std::size_t ahead, double bound,
-                   unsigned char* below);
+std::size_t uncertified_centers(const double* prefix, std::size_t n,
+                                const CertBoxcar* boxes, std::size_t nboxes,
+                                std::uint32_t* out);
 }  // namespace avx2
 
 }  // namespace kernels

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 
 namespace drapid {
 namespace kernels {
@@ -64,18 +63,6 @@ void combine_f64(double* out, const double* const* in, std::size_t ngroups,
     for (std::size_t g = 1; g < ngroups; ++g) acc += in[g][i];
     out[i] = acc;
   }
-}
-
-void abs_deviation(double* out, const double* in, std::size_t n,
-                   double center) {
-  const __m256d ctr = _mm256_set1_pd(center);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_sub_pd(_mm256_loadu_pd(in + i), ctr);
-    _mm256_storeu_pd(out + i, _mm256_andnot_pd(sign, x));
-  }
-  for (; i < n; ++i) out[i] = std::abs(in[i] - center);
 }
 
 namespace {
@@ -206,45 +193,135 @@ double select_kth(double* v, double* scratch, std::size_t n, std::size_t k) {
 
 namespace {
 
-/// kByteMask[m] has byte i = 1 where bit i of m is set (little-endian), so a
-/// 4-bit movemask ANDs into four certificate bytes with one 32-bit op.
-constexpr std::uint32_t byte_mask(int m) {
-  std::uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    if ((m >> i) & 1) out |= std::uint32_t{1} << (8 * i);
+template <bool kDeviation>
+std::size_t bracket_compact_impl(const double* x, std::size_t n,
+                                 double center, double lo, double hi,
+                                 double* out, std::size_t* below) {
+  const __m256d ctr = _mm256_set1_pd(center);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d vlo = _mm256_set1_pd(lo);
+  const __m256d vhi = _mm256_set1_pd(hi);
+  // Per-lane below counts: a true compare lane is all-ones, i.e. -1.
+  __m256i nb = _mm256_setzero_si256();
+  std::size_t m = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m256d y = _mm256_loadu_pd(x + i);
+    if (kDeviation) y = _mm256_andnot_pd(sign, _mm256_sub_pd(y, ctr));
+    nb = _mm256_sub_epi64(
+        nb, _mm256_castpd_si256(_mm256_cmp_pd(y, vlo, _CMP_LT_OQ)));
+    const int mask = _mm256_movemask_pd(
+        _mm256_and_pd(_mm256_cmp_pd(y, vlo, _CMP_GE_OQ),
+                      _mm256_cmp_pd(y, vhi, _CMP_LE_OQ)));
+    const __m256i perm = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kPerm.idx[mask]));
+    // m <= i, so the full-width store ends at or before out[i + 4].
+    _mm256_storeu_pd(out + m, _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(
+                                  _mm256_castpd_si256(y), perm)));
+    m += static_cast<std::size_t>(
+        __builtin_popcount(static_cast<unsigned>(mask)));
   }
-  return out;
+  alignas(32) std::int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), nb);
+  std::size_t count = static_cast<std::size_t>(lanes[0] + lanes[1] +
+                                               lanes[2] + lanes[3]);
+  for (; i < n; ++i) {
+    const double y = kDeviation ? std::abs(x[i] - center) : x[i];
+    out[m] = y;
+    m += static_cast<std::size_t>((y >= lo) & (y <= hi));
+    count += static_cast<std::size_t>(y < lo);
+  }
+  *below = count;
+  return m;
 }
-
-constexpr std::uint32_t kByteMask[16] = {
-    byte_mask(0),  byte_mask(1),  byte_mask(2),  byte_mask(3),
-    byte_mask(4),  byte_mask(5),  byte_mask(6),  byte_mask(7),
-    byte_mask(8),  byte_mask(9),  byte_mask(10), byte_mask(11),
-    byte_mask(12), byte_mask(13), byte_mask(14), byte_mask(15)};
 
 }  // namespace
 
-void certify_below(const double* prefix, std::size_t begin, std::size_t end,
-                   std::size_t back, std::size_t ahead, double bound,
-                   unsigned char* below) {
-  const __m256d bd = _mm256_set1_pd(bound);
-  std::size_t c = begin;
-  for (; c + 4 <= end; c += 4) {
-    const __m256d hi = _mm256_loadu_pd(prefix + c + ahead);
-    const __m256d lo = _mm256_loadu_pd(prefix + c - back);
-    const int m =
-        _mm256_movemask_pd(_mm256_cmp_pd(_mm256_sub_pd(hi, lo), bd,
-                                         _CMP_LT_OQ));
-    std::uint32_t bytes;
-    std::memcpy(&bytes, below + c, sizeof(bytes));
-    bytes &= kByteMask[m];
-    std::memcpy(below + c, &bytes, sizeof(bytes));
+std::size_t bracket_compact(const double* x, std::size_t n, double center,
+                            bool deviation, double lo, double hi, double* out,
+                            std::size_t* below) {
+  return deviation
+             ? bracket_compact_impl<true>(x, n, center, lo, hi, out, below)
+             : bracket_compact_impl<false>(x, n, center, lo, hi, out, below);
+}
+
+namespace {
+
+/// The scalar twin's per-center test, for the edge centers where some
+/// boxcar does not apply.
+bool center_fails(const double* prefix, std::size_t n, std::size_t c,
+                  const CertBoxcar* boxes, std::size_t nboxes) {
+  bool fails = false;
+  for (std::size_t b = 0; b < nboxes; ++b) {
+    const CertBoxcar& box = boxes[b];
+    if (c < box.back || n - c < box.ahead) continue;
+    fails |= !(prefix[c + box.ahead] - prefix[c - box.back] < box.bound);
   }
-  for (; c < end; ++c) {
-    below[c] &=
-        static_cast<unsigned char>(prefix[c + ahead] - prefix[c - back] <
-                                   bound);
+  return fails;
+}
+
+}  // namespace
+
+std::size_t uncertified_centers(const double* prefix, std::size_t n,
+                                const CertBoxcar* boxes, std::size_t nboxes,
+                                std::uint32_t* out) {
+  // Interior centers [first, last) have every boxcar applicable; there the
+  // certificate runs sixteen centers at a time, OR-ing each boxcar's failed
+  // compare (!(sum < bound), so a NaN sum fails as in the scalar twin)
+  // into lane masks. The edges, and the last < 16 interior centers, take
+  // the scalar twin's per-boxcar test.
+  std::size_t max_back = 0;
+  std::size_t max_ahead = 0;
+  for (std::size_t b = 0; b < nboxes; ++b) {
+    max_back = std::max(max_back, boxes[b].back);
+    max_ahead = std::max(max_ahead, boxes[b].ahead);
   }
+  const std::size_t first = std::min(max_back, n);
+  const std::size_t last =
+      n >= max_ahead ? std::clamp(n - max_ahead + 1, first, n) : first;
+  std::size_t count = 0;
+  std::size_t c = 0;
+  for (; c < first; ++c) {
+    if (center_fails(prefix, n, c, boxes, nboxes)) {
+      out[count++] = static_cast<std::uint32_t>(c);
+    }
+  }
+  // Each boxcar's offsets and bound are loaded once per step and applied to
+  // four vectors of centers.
+  for (; c + 16 <= last; c += 16) {
+    __m256d f0 = _mm256_setzero_pd();
+    __m256d f1 = _mm256_setzero_pd();
+    __m256d f2 = _mm256_setzero_pd();
+    __m256d f3 = _mm256_setzero_pd();
+    for (std::size_t b = 0; b < nboxes; ++b) {
+      const double* hp = prefix + c + boxes[b].ahead;
+      const double* lp = prefix + c - boxes[b].back;
+      const __m256d bound = _mm256_set1_pd(boxes[b].bound);
+      const auto fails = [&](std::size_t v) {
+        return _mm256_cmp_pd(_mm256_sub_pd(_mm256_loadu_pd(hp + v),
+                                           _mm256_loadu_pd(lp + v)),
+                             bound, _CMP_NLT_UQ);
+      };
+      f0 = _mm256_or_pd(f0, fails(0));
+      f1 = _mm256_or_pd(f1, fails(4));
+      f2 = _mm256_or_pd(f2, fails(8));
+      f3 = _mm256_or_pd(f3, fails(12));
+    }
+    unsigned mask = static_cast<unsigned>(_mm256_movemask_pd(f0)) |
+                    static_cast<unsigned>(_mm256_movemask_pd(f1)) << 4 |
+                    static_cast<unsigned>(_mm256_movemask_pd(f2)) << 8 |
+                    static_cast<unsigned>(_mm256_movemask_pd(f3)) << 12;
+    while (mask != 0) {
+      out[count++] = static_cast<std::uint32_t>(c + __builtin_ctz(mask));
+      mask &= mask - 1;
+    }
+  }
+  for (; c < n; ++c) {
+    if (center_fails(prefix, n, c, boxes, nboxes)) {
+      out[count++] = static_cast<std::uint32_t>(c);
+    }
+  }
+  return count;
 }
 
 }  // namespace avx2

@@ -11,6 +11,7 @@
 #include <string>
 #include <utility>
 
+#include "obs/counters.hpp"
 #include "synth/dispersion.hpp"
 #include "util/flat_hash.hpp"
 
@@ -192,28 +193,74 @@ std::vector<double> dedisperse(const Filterbank& fb, double dm) {
   return std::move(scratch.series);
 }
 
+namespace detail {
+
+double select_rank(const double* x, std::size_t n, std::size_t k,
+                   double center, bool deviation,
+                   std::vector<double>& workspace,
+                   std::vector<double>& select_scratch) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  workspace.resize(n);
+  select_scratch.resize(n);
+  std::size_t below = 0;
+  if (n >= kSelectMinSamples) {
+    // Bracket the rank by the order statistics kSelectGap either side of
+    // its position in the fixed-stride sample. A side the sample cannot
+    // bound (the rank within kSelectGap of a sample end) stays infinite.
+    // select_kth consumes its buffers, so the upper end selects in a copy.
+    double sample[kSelectSample];
+    double upper[kSelectSample];
+    double scratch[kSelectSample];
+    const std::size_t stride = n / kSelectSample;
+    for (std::size_t j = 0; j < kSelectSample; ++j) {
+      const double v = x[j * stride];
+      sample[j] = deviation ? std::abs(v - center) : v;
+    }
+    std::copy(sample, sample + kSelectSample, upper);
+    const std::size_t r = k * kSelectSample / n;
+    const double lo = r >= kSelectGap
+                          ? kernels::select_kth(sample, scratch, kSelectSample,
+                                                r - kSelectGap)
+                          : -kInf;
+    const double hi = r + kSelectGap < kSelectSample
+                          ? kernels::select_kth(upper, scratch, kSelectSample,
+                                                r + kSelectGap)
+                          : kInf;
+    // Every y < lo ranks below the bracket and every y > hi above it, so
+    // when k lands inside, the k-th smallest is the (k - below)-th of the
+    // compacted values — the same element a full selection finds.
+    const std::size_t inside = kernels::bracket_compact(
+        x, n, center, deviation, lo, hi, workspace.data(), &below);
+    if (below <= k && k - below < inside) {
+      return kernels::select_kth(workspace.data(), select_scratch.data(),
+                                 inside, k - below);
+    }
+    static obs::CounterRegistry::Counter& fallbacks =
+        obs::global_counters().counter("dedisp.select.fallbacks");
+    fallbacks.add();
+  }
+  // The open bracket keeps every value: a full selection.
+  kernels::bracket_compact(x, n, center, deviation, -kInf, kInf,
+                           workspace.data(), &below);
+  return kernels::select_kth(workspace.data(), select_scratch.data(), n, k);
+}
+
+}  // namespace detail
+
 /// Robust location/scale from the median and the median absolute deviation,
-/// through the selection kernel (kernels.hpp). select_kth consumes its
-/// buffers, so the workspace is refilled from `values` before the MAD pass —
-/// the absolute deviations of a permuted copy are a permutation of the
-/// originals, so both selections return exactly the values the seed's
-/// in-place nth_element produced.
+/// each an exact bracketed selection straight from the untouched input: the
+/// MAD's deviations |x - median| are formed inside the bracket pass, so no
+/// copy or refill of the series is made.
 std::pair<double, double> robust_stats(const std::vector<double>& values,
                                        std::vector<double>& workspace,
                                        std::vector<double>& select_scratch) {
   if (values.empty()) return {0.0, 0.0};
   const std::size_t size = values.size();
   const std::size_t mid = size / 2;
-  workspace.resize(size);
-  select_scratch.resize(size);
-  std::copy(values.begin(), values.end(), workspace.begin());
-  const double median =
-      kernels::select_kth(workspace.data(), select_scratch.data(), size, mid);
-  // select_kth consumed the workspace; refill and take deviations in one
-  // fused pass straight from the untouched input.
-  kernels::abs_deviation(workspace.data(), values.data(), size, median);
-  const double mad =
-      kernels::select_kth(workspace.data(), select_scratch.data(), size, mid);
+  const double median = detail::select_rank(values.data(), size, mid, 0.0,
+                                            false, workspace, select_scratch);
+  const double mad = detail::select_rank(values.data(), size, mid, median,
+                                         true, workspace, select_scratch);
   // MAD at (or numerically indistinguishable from) zero means the series
   // has no measurable noise scale — constant, single-sample, or fully
   // masked input. Report scale 0.0 and let callers refuse to standardize:
@@ -230,6 +277,10 @@ void detect_events_into(const std::vector<double>& series, double dm,
                         std::vector<SinglePulseEvent>& out) {
   const std::size_t n = series.size();
   if (n == 0) return;
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("detect_events: series of " + std::to_string(n) +
+                            " samples exceeds the 2^32-1 center range");
+  }
   const auto [median, sigma] = robust_stats(series, scratch.stats_workspace,
                                             scratch.select_scratch);
   // Degenerate-series guard: with no noise scale there is no S/N — every
@@ -250,20 +301,25 @@ void detect_events_into(const std::vector<double>& series, double dm,
   // the prefix reads local, and visits each center's widths in the same
   // list order (with the same strict-improvement tie-break) as a
   // width-outermost scan — best_snr/best_width come out identical.
+  // certs[b] holds boxcar b's stencil (back = center - start = w/2,
+  // ahead = end - center = w - w/2) and certificate bound; boxcars[b] its
+  // S/N normalization and width.
   struct Boxcar {
-    std::size_t back;   ///< center - start  (w/2)
-    std::size_t ahead;  ///< end - center    (w - w/2)
     double norm;
-    double below_bound;  ///< diff < bound certifies diff/norm < threshold
     int width;
   };
   constexpr std::size_t kStackBoxcars = 16;
   Boxcar stack_boxcars[kStackBoxcars];
+  kernels::CertBoxcar stack_certs[kStackBoxcars];
   std::vector<Boxcar> heap_boxcars;
+  std::vector<kernels::CertBoxcar> heap_certs;
   Boxcar* boxcars = stack_boxcars;
+  kernels::CertBoxcar* certs = stack_certs;
   if (params.boxcar_widths.size() > kStackBoxcars) {
     heap_boxcars.resize(params.boxcar_widths.size());
+    heap_certs.resize(params.boxcar_widths.size());
     boxcars = heap_boxcars.data();
+    certs = heap_certs.data();
   }
   std::size_t num_boxcars = 0;
   for (int w : params.boxcar_widths) {
@@ -274,69 +330,60 @@ void detect_events_into(const std::vector<double>& series, double dm,
     // few ulp of rounding error, so diff < threshold*norm*(1 - 1e-12)
     // guarantees the rounded S/N is below threshold. Samples inside the
     // 1e-12 relative band fall through to the exact path.
-    boxcars[num_boxcars++] = {
-        uw / 2, uw - uw / 2, norm,
-        params.snr_threshold * norm * (1.0 - 1e-12), w};
+    certs[num_boxcars] = {uw / 2, uw - uw / 2,
+                          params.snr_threshold * norm * (1.0 - 1e-12)};
+    boxcars[num_boxcars++] = {norm, w};
   }
   // Only samples that end up part of an above-threshold island influence
   // the output events (below-threshold samples are merely skipped over),
   // so almost every center takes the certificate fast path: no division,
-  // no best-width bookkeeping. The certificate is evaluated boxcar-outer
-  // through the vectorized kernel — each boxcar ANDs its compare into a
-  // byte mask over its applicable centers, which computes exactly the
-  // AND-over-boxcars the old short-circuit center loop did. The handful of
-  // centers a boxcar pushes near threshold compute their exact best S/N
-  // and width the way a width-outermost scan would: widths in list order,
-  // strict improvement.
-  const bool can_certify = params.snr_threshold > 0.0;
-  auto& below = scratch.below;
-  below.assign(n, can_certify ? 1 : 0);
-  if (can_certify) {
-    for (std::size_t b = 0; b < num_boxcars; ++b) {
-      const Boxcar& box = boxcars[b];
-      // Centers with c >= back and c + ahead <= n; every prefix read stays
-      // inside the n+1 entries.
-      const std::size_t begin = box.back;
-      const std::size_t end = n >= box.ahead ? n - box.ahead + 1 : 0;
-      if (begin >= end) continue;
-      kernels::certify_below(prefix.data(), begin, end, box.back, box.ahead,
-                             box.below_bound, below.data());
+  // no best-width bookkeeping. One kernel pass evaluates every applicable
+  // boxcar per center and lists, ascending, the few centers some boxcar
+  // could not certify. With a non-positive threshold nothing certifies and
+  // every center is listed.
+  auto& listed = scratch.uncertified;
+  listed.resize(n);
+  std::size_t num_listed = n;
+  if (params.snr_threshold > 0.0) {
+    num_listed = kernels::uncertified_centers(prefix.data(), n, certs,
+                                              num_boxcars, listed.data());
+  } else {
+    for (std::size_t c = 0; c < n; ++c) {
+      listed[c] = static_cast<std::uint32_t>(c);
     }
   }
   // Exact best S/N and width for one center, the way a width-outermost scan
   // would see it: widths in list order, strict improvement. Only called for
-  // the handful of uncertified centers.
+  // the listed centers.
   const auto exact_best = [&](std::size_t c, double& best, int& width) {
     best = 0.0;
     width = 1;
     for (std::size_t b = 0; b < num_boxcars; ++b) {
-      const Boxcar& box = boxcars[b];
+      const kernels::CertBoxcar& box = certs[b];
       if (c < box.back || n - c < box.ahead) continue;
       const double snr = (prefix[c + box.ahead] - prefix[c - box.back]) /
-                         box.norm;
+                         boxcars[b].norm;
       if (snr > best) {
         best = snr;
-        width = box.width;
+        width = boxcars[b].width;
       }
     }
   };
 
   // Local maxima above threshold, merging anything within the detecting
   // width (one event per pulse, PRESTO-style). A certified center's best
-  // S/N is below threshold by construction, so the island scan treats the
-  // certificate byte as "below" directly and computes the exact S/N only
-  // where the certificate declined — no per-sample best arrays at all.
-  std::size_t s = 0;
-  while (s < n) {
+  // S/N is below threshold by construction, so the island scan walks only
+  // the listed centers: an island runs over consecutive listed centers
+  // whose exact S/N reaches threshold, and ends at the first certified
+  // center (a gap in the list) or the first listed one below threshold,
+  // which is then looked at again as a possible island start.
+  std::size_t i = 0;
+  while (i < num_listed) {
     double best;
     int width;
-    if (below[s]) {
-      ++s;
-      continue;
-    }
-    exact_best(s, best, width);
+    exact_best(listed[i], best, width);
     if (best < params.snr_threshold) {
-      ++s;
+      ++i;
       continue;
     }
     // Extend over the contiguous above-threshold island; keep the peak
@@ -344,17 +391,17 @@ void detect_events_into(const std::vector<double>& series, double dm,
     // array-based scan).
     double peak_snr = best;
     int peak_width = width;
-    std::size_t peak = s;
-    std::size_t end = s + 1;
-    while (end < n && !below[end]) {
-      exact_best(end, best, width);
+    std::size_t peak = listed[i];
+    std::size_t j = i + 1;
+    while (j < num_listed && listed[j] == listed[j - 1] + 1) {
+      exact_best(listed[j], best, width);
       if (best < params.snr_threshold) break;
       if (best > peak_snr) {
         peak_snr = best;
         peak_width = width;
-        peak = end;
+        peak = listed[j];
       }
-      ++end;
+      ++j;
     }
     SinglePulseEvent e;
     e.dm = dm;
@@ -363,7 +410,7 @@ void detect_events_into(const std::vector<double>& series, double dm,
     e.time_s = static_cast<double>(peak) * sample_time_ms * 1e-3;
     e.downfact = peak_width;
     out.push_back(e);
-    s = end;
+    i = j;
   }
 }
 

@@ -176,15 +176,17 @@ struct SinglePulseSearchParams {
   std::vector<std::uint8_t> channel_mask;
 };
 
-/// Reusable matched-filter workspace: boxcar prefix sums, the certificate
-/// mask, and the median/MAD workspace robust_stats selects in place.
+/// Reusable matched-filter workspace: boxcar prefix sums, the certificate's
+/// center list, and the buffers robust_stats selects in. Buffers only — no
+/// value carries from one series to the next.
 struct DetectScratch {
   std::vector<double> prefix;
+  /// Bracket compaction output, selected in place (kernels.hpp).
   std::vector<double> stats_workspace;
   /// Partition ping-pong buffer for the selection kernel (kernels.hpp).
   std::vector<double> select_scratch;
-  /// Per-center certificate bytes for the boxcar-outer threshold scan.
-  std::vector<unsigned char> below;
+  /// Ascending centers the one-pass certificate could not clear.
+  std::vector<std::uint32_t> uncertified;
 };
 
 /// Robust location/scale of a series: {median, 1.4826 * MAD}. A degenerate
@@ -192,8 +194,10 @@ struct DetectScratch {
 /// — has MAD 0 and returns scale 0.0: there is no noise level to
 /// standardize against, and callers must not divide by the scale
 /// (detect_events_into reports no events for such a series instead of
-/// spraying unbounded S/N). `workspace` and `select_scratch` are reusable
-/// buffers (overwritten); the input is untouched.
+/// spraying unbounded S/N). Every value must be finite (detect_events_into's
+/// inputs are: read_fil rejects non-finite samples). `workspace` and
+/// `select_scratch` are reusable buffers (overwritten); the input is
+/// untouched.
 std::pair<double, double> robust_stats(const std::vector<double>& values,
                                        std::vector<double>& workspace,
                                        std::vector<double>& select_scratch);
@@ -215,6 +219,27 @@ void detect_events_into(const std::vector<double>& series, double dm,
                         std::vector<SinglePulseEvent>& out);
 
 namespace detail {
+
+/// Bracketed selection geometry (see select_rank): the fixed-stride sample
+/// size, the bracket's half-width in sample ranks, and the smallest series
+/// that is bracketed at all.
+inline constexpr std::size_t kSelectSample = 256;
+inline constexpr std::size_t kSelectGap = 24;
+inline constexpr std::size_t kSelectMinSamples = 4 * kSelectSample;
+
+/// The exact k-th smallest (0-based, k < n) of y[i] = x[i], or of
+/// y[i] = |x[i] - center| when `deviation` — the value std::nth_element
+/// would leave at k (equal by value; for a tie between +0 and -0 either
+/// zero may come back). For n >= kSelectMinSamples it brackets rank k from
+/// the kSelectSample values at stride n / kSelectSample, counts and
+/// compacts the series against the bracket in one kernel pass, and selects
+/// only inside it. Small n, and a bracket that misses k (counted in
+/// `dedisp.select.fallbacks`), select over the whole series. Finite x is a
+/// precondition. `workspace` and `select_scratch` are reusable buffers.
+double select_rank(const double* x, std::size_t n, std::size_t k,
+                   double center, bool deviation,
+                   std::vector<double>& workspace,
+                   std::vector<double>& select_scratch);
 
 /// The deterministic trial-order merge shared by the one-shot and streaming
 /// sweeps: walks the strided trial sequence, stamps each trial's nominal DM

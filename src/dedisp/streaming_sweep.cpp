@@ -200,6 +200,9 @@ std::vector<SinglePulseEvent> StreamingSweep::finalize() {
                static_cast<std::int64_t>(sweep_.num_trials));
   counters.add("dedisp.stream.events",
                static_cast<std::int64_t>(events.size()));
+  // Detection makes two selections (median, MAD) per unique plan.
+  counters.add("dedisp.select.calls",
+               static_cast<std::int64_t>(2 * sweep_.plans.size()));
   counters.add("dedisp.subband.nodes",
                static_cast<std::int64_t>(sub_.total_patterns));
   counters.add("dedisp.subband.residual_combines",

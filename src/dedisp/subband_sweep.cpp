@@ -421,6 +421,8 @@ std::vector<SinglePulseEvent> subband_single_pulse_search(
   counters.add("dedisp.plan_dedup_hits",
                static_cast<std::int64_t>(sweep.num_trials - num_plans));
   counters.add("dedisp.events", static_cast<std::int64_t>(events.size()));
+  // Detection makes two selections (median, MAD) per unique plan.
+  counters.add("dedisp.select.calls", static_cast<std::int64_t>(2 * num_plans));
   counters.add("dedisp.subband.nodes",
                static_cast<std::int64_t>(sub.total_patterns));
   counters.add("dedisp.subband.partials_built", partials_built);

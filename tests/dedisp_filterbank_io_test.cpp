@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -206,6 +208,33 @@ TEST(FilterbankIo, EmptyDataSectionFails) {
   const std::string path = dir.file("empty.fil");
   write_file(path, header(16, 32));  // header only, zero frames
   EXPECT_THROW(Filterbank::read_fil(path), FilterbankError);
+}
+
+TEST(FilterbankIo, NonFiniteSampleFails) {
+  // One NaN or infinity used to load silently and blank the whole sweep
+  // (every series it fed standardized to nothing). The reader must refuse
+  // it and name where it sits.
+  TempDir dir;
+  const std::string path = dir.file("nonfinite.fil");
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (const float value : bad) {
+    std::string data = frames(4, 16);
+    const std::size_t frame = 2;
+    const std::size_t channel = 5;
+    std::memcpy(&data[(frame * 16 + channel) * sizeof(float)], &value,
+                sizeof(value));
+    write_file(path, header(16, 32) + data);
+    try {
+      (void)Filterbank::read_fil(path);
+      ADD_FAILURE() << "accepted a non-finite sample " << value;
+    } catch (const FilterbankError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("frame 2"), std::string::npos) << what;
+      EXPECT_NE(what.find("channel 5"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(FilterbankIo, ReadBackSearchesLikeTheOriginal) {

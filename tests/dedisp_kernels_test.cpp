@@ -1,5 +1,6 @@
 // The runtime-dispatched SIMD kernels (dedisp/kernels.hpp): scalar-vs-AVX2
-// bit-identity for every kernel, select_kth exactness against a full sort on
+// bit-identity for every kernel, the bracket and certificate kernels against
+// their definitions, select_kth exactness against a full sort on
 // adversarial shapes, dispatch reporting, and the dispersion_shifts
 // overflow/clamp hardening the kernels' callers rely on.
 #include <gtest/gtest.h>
@@ -121,23 +122,73 @@ TEST(Kernels, CombineMatchesSequentialAccumulate) {
   EXPECT_EQ(fused, seq);
 }
 
-TEST(Kernels, AbsDeviationPathsBitIdentical) {
+TEST(Kernels, BracketCompactPathsBitIdentical) {
   if (!kernels::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
   for (const std::size_t n : kSizes) {
     const auto in = noise(n, 11 + n);
-    std::vector<double> a(n), b(n);
-    kernels::scalar::abs_deviation(a.data(), in.data(), n, 0.25);
-    kernels::avx2::abs_deviation(b.data(), in.data(), n, 0.25);
-    EXPECT_EQ(a, b) << "n=" << n;
+    for (const bool deviation : {false, true}) {
+      std::vector<double> a(n), b(n);
+      std::size_t below_a = 0, below_b = 0;
+      const std::size_t na = kernels::scalar::bracket_compact(
+          in.data(), n, 0.25, deviation, -0.5, 0.75, a.data(), &below_a);
+      const std::size_t nb = kernels::avx2::bracket_compact(
+          in.data(), n, 0.25, deviation, -0.5, 0.75, b.data(), &below_b);
+      ASSERT_EQ(na, nb) << "n=" << n << " deviation=" << deviation;
+      EXPECT_EQ(below_a, below_b) << "n=" << n;
+      a.resize(na);
+      b.resize(nb);
+      EXPECT_EQ(a, b) << "n=" << n << " deviation=" << deviation;
+    }
   }
 }
 
-TEST(Kernels, AbsDeviationAliasingAllowed) {
-  auto v = noise(101, 13);
-  auto expect = v;
-  for (auto& x : expect) x = std::abs(x - 0.5);
-  kernels::abs_deviation(v.data(), v.data(), v.size(), 0.5);
-  EXPECT_EQ(v, expect);
+TEST(Kernels, BracketCompactMatchesDefinition) {
+  // Counts y < lo, keeps lo <= y <= hi in input order — bracket ends
+  // included, including ties exactly on them.
+  std::vector<double> in = noise(1001, 12);
+  in[3] = 1.0;     // |x - 0.25| == 0.75: the upper end
+  in[7] = -0.25;   // |x - 0.25| == 0.5: the lower end
+  in[9] = 0.5;     // the lower end as a value
+  in[500] = 0.75;  // the upper end as a value
+  for (const bool deviation : {false, true}) {
+    std::vector<double> expect;
+    std::size_t expect_below = 0;
+    for (const double x : in) {
+      const double y = deviation ? std::abs(x - 0.25) : x;
+      if (y < 0.5) {
+        ++expect_below;
+      } else if (y <= 0.75) {
+        expect.push_back(y);
+      }
+    }
+    std::vector<double> out(in.size());
+    std::size_t below = 0;
+    const std::size_t kept = kernels::bracket_compact(
+        in.data(), in.size(), 0.25, deviation, 0.5, 0.75, out.data(), &below);
+    out.resize(kept);
+    EXPECT_EQ(out, expect) << "deviation=" << deviation;
+    EXPECT_EQ(below, expect_below) << "deviation=" << deviation;
+  }
+}
+
+TEST(Kernels, BracketCompactOpenBracketIsTheFullFill) {
+  // An infinite bracket keeps everything: the plain copy of x, or the full
+  // |x - center| deviation fill the MAD fallback selects over.
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto in = noise(101, 13);
+  for (const bool deviation : {false, true}) {
+    std::vector<double> expect = in;
+    if (deviation) {
+      for (auto& x : expect) x = std::abs(x - 0.5);
+    }
+    std::vector<double> out(in.size());
+    std::size_t below = 7;
+    EXPECT_EQ(kernels::bracket_compact(in.data(), in.size(), 0.5, deviation,
+                                       -inf, inf, out.data(), &below),
+              in.size());
+    EXPECT_EQ(below, 0u);
+    EXPECT_EQ(out, expect);
+  }
 }
 
 double sorted_kth(std::vector<double> v, std::size_t k) {
@@ -186,25 +237,73 @@ TEST(Kernels, SelectKthExactOnAdversarialShapes) {
   }
 }
 
-TEST(Kernels, CertifyBelowPathsBitIdentical) {
-  if (!kernels::avx2_supported()) GTEST_SKIP() << "no AVX2 on this host";
-  const std::size_t n = 300;
-  const auto series = noise(n, 29);
-  std::vector<double> prefix(n + 1, 0.0);
-  for (std::size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + series[i];
-  for (const std::size_t width : {std::size_t{1}, std::size_t{4},
-                                  std::size_t{16}}) {
-    const std::size_t back = width / 2;
-    const std::size_t ahead = width - back;
-    const std::size_t begin = back;
-    const std::size_t end = n - ahead + 1;
-    std::vector<unsigned char> a(n, 1), b(n, 1);
-    kernels::scalar::certify_below(prefix.data(), begin, end, back, ahead,
-                                   1.5, a.data());
-    kernels::avx2::certify_below(prefix.data(), begin, end, back, ahead, 1.5,
-                                 b.data());
-    EXPECT_EQ(a, b) << "width=" << width;
+/// The certificate's definition, center by center: listed when some
+/// applicable boxcar's sum is not below its bound.
+std::vector<std::uint32_t> uncertified_by_definition(
+    const std::vector<double>& prefix,
+    const std::vector<kernels::CertBoxcar>& boxes) {
+  const std::size_t n = prefix.size() - 1;
+  std::vector<std::uint32_t> out;
+  for (std::size_t c = 0; c < n; ++c) {
+    bool fails = false;
+    for (const auto& box : boxes) {
+      if (c < box.back || c + box.ahead > n) continue;
+      if (!(prefix[c + box.ahead] - prefix[c - box.back] < box.bound)) {
+        fails = true;
+      }
+    }
+    if (fails) out.push_back(static_cast<std::uint32_t>(c));
   }
+  return out;
+}
+
+std::vector<kernels::CertBoxcar> cert_boxes(const std::vector<int>& widths,
+                                            double bound) {
+  std::vector<kernels::CertBoxcar> boxes;
+  for (const int w : widths) {
+    const auto uw = static_cast<std::size_t>(w);
+    boxes.push_back({uw / 2, uw - uw / 2,
+                     bound * std::sqrt(static_cast<double>(w))});
+  }
+  return boxes;
+}
+
+TEST(Kernels, UncertifiedCentersPathsBitIdentical) {
+  const std::vector<std::vector<int>> width_sets = {
+      {}, {1}, {1, 2, 4, 8, 16, 32}, {3, 5, 7}, {64, 1, 2, 2}, {1000}};
+  for (const std::size_t n : kSizes) {
+    const auto series = noise(n, 29 + n);
+    std::vector<double> prefix(n + 1, 0.0);
+    for (std::size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + series[i];
+    for (const auto& widths : width_sets) {
+      for (const double bound : {-1.0, 0.0, 1.5, 3.0}) {
+        const auto boxes = cert_boxes(widths, bound);
+        const auto expect = uncertified_by_definition(prefix, boxes);
+        std::vector<std::uint32_t> a(n), b(n);
+        a.resize(kernels::scalar::uncertified_centers(
+            prefix.data(), n, boxes.data(), boxes.size(), a.data()));
+        EXPECT_EQ(a, expect) << "n=" << n << " bound=" << bound;
+        if (!kernels::avx2_supported()) continue;
+        b.resize(kernels::avx2::uncertified_centers(
+            prefix.data(), n, boxes.data(), boxes.size(), b.data()));
+        EXPECT_EQ(b, expect) << "n=" << n << " bound=" << bound;
+      }
+    }
+  }
+}
+
+TEST(Kernels, UncertifiedCentersFailsNaNSums) {
+  // !(sum < bound) lists a NaN sum on both paths, as the scalar compare did.
+  const std::size_t n = 40;
+  std::vector<double> prefix(n + 1, 0.0);
+  prefix[20] = std::nan("");
+  const auto boxes = cert_boxes({1, 2}, 1.0);
+  const auto expect = uncertified_by_definition(prefix, boxes);
+  ASSERT_FALSE(expect.empty());
+  std::vector<std::uint32_t> out(n);
+  out.resize(kernels::uncertified_centers(prefix.data(), n, boxes.data(),
+                                          boxes.size(), out.data()));
+  EXPECT_EQ(out, expect);
 }
 
 // --- dispersion_shifts overflow/clamp hardening -----------------------------

@@ -227,6 +227,8 @@ TEST(SinglePulseSearch, EmitsCountersAndSpans) {
   const std::int64_t plans_before = snapshot("dedisp.plans_unique");
   const std::int64_t hits_before = snapshot("dedisp.plan_dedup_hits");
   const std::int64_t blocks_before = snapshot("dedisp.subband.blocks");
+  const std::int64_t selects_before = snapshot("dedisp.select.calls");
+  const std::int64_t fallbacks_before = snapshot("dedisp.select.fallbacks");
 
   auto& tracer = obs::global_tracer();
   tracer.clear();
@@ -242,6 +244,14 @@ TEST(SinglePulseSearch, EmitsCountersAndSpans) {
   EXPECT_EQ(unique + hits, static_cast<std::int64_t>(grid.size()));
   const std::int64_t blocks = snapshot("dedisp.subband.blocks") - blocks_before;
   EXPECT_GT(blocks, 0);
+  // Two selections (median, MAD) per unique plan; bracket misses are a
+  // subset of them.
+  const std::int64_t selects = snapshot("dedisp.select.calls") - selects_before;
+  EXPECT_EQ(selects, 2 * unique);
+  const std::int64_t fallbacks =
+      snapshot("dedisp.select.fallbacks") - fallbacks_before;
+  EXPECT_GE(fallbacks, 0);
+  EXPECT_LE(fallbacks, selects);
 
   // One engine span per sweep, one block span per stage-1 + stage-2 block.
   std::size_t sweep_spans = 0;
