@@ -151,10 +151,9 @@ class Engine {
                  const std::function<void(TaskContext&)>& body,
                  PoolStagePlan* plan = nullptr);
 
-  /// The residency surface of the process backend, nullptr on every other
-  /// backend. Transformations probe this to decide whether building a
-  /// PoolStagePlan is worth anything.
-  PoolResidency* pool_residency() { return executor_->residency(); }
+  /// True when planned stages run on the process backend's worker pool
+  /// (Executor::pooled). Transformations build a PoolStagePlan only then.
+  bool pooled() const { return executor_->pooled(); }
 
   /// The backend actually executing stage tasks (resolved from config().exec
   /// at construction; a TSan build downgrades process to local).

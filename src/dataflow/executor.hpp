@@ -12,23 +12,20 @@
 //     processes (dataflow/ipc/pool.hpp) and every other stage in-process on
 //     an embedded LocalExecutor.
 //
-// A stage body is an arbitrary closure with in-memory side effects, which a
-// worker process forked before the closure existed cannot run. A stage that
-// can leave the process therefore ships a plan instead: a kernel function
-// pointer plus its closure as bytes. Stages without a plan (closures that
-// are not trivially copyable, spill I/O, in-memory bookkeeping) run their
-// body in-process on every backend, so the local backend is the
-// byte-identity oracle for the pooled one.
+// A worker process forked before a stage's closure existed cannot run that
+// closure, so a stage that leaves the process ships a plan instead: a kernel
+// function pointer plus the stage state encoded by the ipc value codec.
+// Every RDD transformation (dataflow/rdd.hpp) builds its plan from the same
+// per-partition function its local body calls, with a captureless closure
+// the worker rebuilds as Fn{}; stages without a plan (spill I/O, in-memory
+// bookkeeping) run their body in-process on every backend.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
-#include <new>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "dataflow/metrics.hpp"
@@ -44,16 +41,16 @@ struct StageMetrics;
 // job's closures and data exist, so a pooled stage cannot run the body
 // closure in the worker. Instead the stage ships *code by address* (a kernel
 // function pointer, valid across fork because parent and child are the same
-// binary) plus *state by bytes* (a trivially-copyable closure object and
-// serialized input partitions), and the worker keeps the serialized output
-// resident for the next stage.
+// binary) plus *state by value* (the stage state and the input partitions,
+// both serialized by the ipc value codec), and the worker keeps the
+// serialized output resident for the next stage.
 
 /// Type-erased context a pool kernel runs under in the worker (or in the
 /// parent, when rebuilding a lost partition from lineage).
 struct PoolTaskCtx {
   std::size_t partition = 0;  ///< task index within the stage
-  /// The stage's closure object as raw bytes (see pool_closure_bytes).
-  const std::string* closure = nullptr;
+  /// The stage state as the transformation encoded it (ipc::encode_value).
+  const std::string* state = nullptr;
   /// One serialized payload per declared input (kernels define the format;
   /// data-plane kernels use ipc::encode_payload, the load kernel raw text).
   std::vector<const std::string*> inputs;
@@ -67,24 +64,6 @@ struct PoolTaskCtx {
 /// encode_payload for narrow stages, a per-target segment bundle (see
 /// dataflow/ipc/pool.hpp) for wide ones.
 using PoolKernelFn = std::string (*)(const PoolTaskCtx&);
-
-/// Reconstructs a trivially-copyable closure object from its shipped bytes.
-/// Lambdas with trivially-copyable captures are implicit-lifetime types, so
-/// memcpy into aligned storage legitimately starts the object's lifetime.
-template <typename Fn>
-const Fn& pool_closure_cast(const std::string& bytes,
-                            std::aligned_storage_t<sizeof(Fn), alignof(Fn)>&
-                                storage) {
-  static_assert(std::is_trivially_copyable_v<Fn>);
-  std::memcpy(&storage, bytes.data(), sizeof(Fn));
-  return *std::launder(reinterpret_cast<const Fn*>(&storage));
-}
-
-template <typename Fn>
-std::string pool_closure_bytes(const Fn& fn) {
-  static_assert(std::is_trivially_copyable_v<Fn>);
-  return std::string(reinterpret_cast<const char*>(&fn), sizeof(Fn));
-}
 
 class PoolRegistryCore;
 
@@ -126,7 +105,7 @@ struct PoolStagePlan {
   enum class Kind { kNarrow, kWide };
   Kind kind = Kind::kNarrow;
   PoolKernelFn kernel = nullptr;
-  std::string closure;
+  std::string state;  ///< handed to every task as PoolTaskCtx::state
   /// Wide stages: output partition count (narrow: outputs mirror tasks).
   std::size_t num_targets = 0;
   /// Called once per task at dispatch to name its input partitions.
@@ -135,21 +114,12 @@ struct PoolStagePlan {
   std::shared_ptr<PoolSet> out;
 };
 
-/// Residency interface a pooled executor exposes; null on every other
-/// backend. Transformations use its presence to decide whether to build a
-/// PoolStagePlan at all.
-class PoolResidency {
- public:
-  virtual ~PoolResidency() = default;
-};
-
 /// One stage execution handed from Engine::run_stage to the executor.
 struct StageRun {
   StageMetrics& stage;
   const std::function<void(TaskContext&)>& body;
-  /// Pool plan, or nullptr when the stage cannot ship (non-trivially-
-  /// copyable closure, spill or cache bookkeeping). Only the process
-  /// backend reads it.
+  /// Pool plan, or nullptr when the stage cannot ship (spill or cache
+  /// bookkeeping). Only the process backend reads it.
   PoolStagePlan* plan = nullptr;
 };
 
@@ -158,6 +128,7 @@ struct StageRun {
 /// attribution, and the metrics registry.
 class Executor {
  public:
+  explicit Executor(bool pooled) : pooled_(pooled) {}
   virtual ~Executor() = default;
 
   /// Backend name as spelled on --backend ("local" | "process").
@@ -170,9 +141,13 @@ class Executor {
   /// first body exception otherwise.
   virtual void run_stage_tasks(StageRun run) = 0;
 
-  /// The partition-residency surface of the process backend; nullptr
-  /// everywhere else (local backend, TSan fallback).
-  virtual PoolResidency* residency() { return nullptr; }
+  /// True on the process backend: a stage that carries a PoolStagePlan runs
+  /// in the worker pool and leaves its output resident there. False
+  /// everywhere else (local backend, TSan fallback), where plans are ignored.
+  bool pooled() const { return pooled_; }
+
+ private:
+  bool pooled_;
 };
 
 /// In-process backend: the pre-PR 7 execution path, verbatim. Tasks fan out
@@ -181,7 +156,7 @@ class Executor {
 /// attempts/retry_cost. Pool plans are ignored (the body runs in place).
 class LocalExecutor : public Executor {
  public:
-  explicit LocalExecutor(Engine& engine) : engine_(engine) {}
+  explicit LocalExecutor(Engine& engine) : Executor(false), engine_(engine) {}
 
   const char* name() const override { return "local"; }
   std::size_t workers() const override { return 1; }

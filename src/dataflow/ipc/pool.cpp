@@ -99,7 +99,7 @@ struct ChildStage {
   std::string name;
   bool wide = false;
   PoolKernelFn kernel = nullptr;
-  std::string closure;
+  std::string state;
   std::uint64_t out_set = 0;
   std::size_t num_targets = 0;
   std::size_t nworkers = 1;
@@ -189,7 +189,7 @@ void child_handle_stage_begin(ChildState& st, const FrameView& frame) {
   s.nworkers = static_cast<std::size_t>(r.get_u64());
   s.max_attempts = static_cast<std::size_t>(r.get_u64());
   ipc::decode_value(r, s.name);
-  ipc::decode_value(r, s.closure);
+  ipc::decode_value(r, s.state);
   st.stage = std::move(s);
 }
 
@@ -233,7 +233,7 @@ void child_handle_assign(ChildState& st, const FrameView& frame) {
   try {
     PoolTaskCtx ctx;
     ctx.partition = p;
-    ctx.closure = &stage.closure;
+    ctx.state = &stage.state;
     ctx.inputs = inputs;
     ctx.metrics = &task;
     ctx.num_targets = stage.num_targets;
@@ -575,7 +575,7 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
     std::vector<std::string> fetched(refs.size());
     PoolTaskCtx ctx;
     ctx.partition = partition;
-    ctx.closure = &s.closure;
+    ctx.state = &s.state;
     for (std::size_t i = 0; i < refs.size(); ++i) {
       ctx.inputs.push_back(input_bytes(refs[i], fetched[i]));
     }
@@ -592,7 +592,7 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
       std::string fetched;
       PoolTaskCtx ctx;
       ctx.partition = src;
-      ctx.closure = &s.closure;
+      ctx.state = &s.state;
       ctx.inputs.push_back(input_bytes(refs.at(0), fetched));
       ctx.metrics = &scratch;
       ctx.num_targets = s.parts.size();
@@ -1106,7 +1106,7 @@ void WorkerPool::send_stage_begin(PoolWorker& w) {
   pw.put_u64(nworkers_);
   pw.put_u64(ctx.max_attempts);
   ipc::encode_value(pw, ctx.stage.name);
-  ipc::encode_value(pw, ctx.plan.closure);
+  ipc::encode_value(pw, ctx.plan.state);
   frame.payload = pw.take();
   enqueue(w, ipc::encode_frame(frame));
 }
@@ -1232,14 +1232,14 @@ void WorkerPool::run_pooled_stage(StageRun run) {
   ctx.need_reassign.assign(nworkers_, false);
   ctx.acked.assign(nworkers_, false);
 
-  // Register the output set up front: lineage (kernel + closure + input
+  // Register the output set up front: lineage (kernel + state + input
   // refs) is recorded before anything runs, so recovery never depends on
   // the stage having finished.
   ctx.out_set = core_->next_id_++;
   pooldetail::SetState& out = core_->sets_[ctx.out_set];
   out.kind = plan.kind;
   out.kernel = plan.kernel;
-  out.closure = plan.closure;
+  out.state = plan.state;
   out.num_targets = plan.num_targets;
   out.task_inputs.resize(ctx.ntasks);
   out.parts.resize(ctx.nparts);

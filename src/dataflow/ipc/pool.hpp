@@ -12,8 +12,8 @@
 // can only see parent state that existed at fork time, and stage closures are
 // created later. Pooled stages therefore never run the body closure in the
 // child. Each transformation ships *code by address* (a PoolKernelFn — valid
-// across fork, same binary) plus *state by bytes* (a trivially-copyable
-// closure object and serialized inputs), and the worker keeps the serialized
+// across fork, same binary) plus *state by value* (the codec-encoded stage
+// state and serialized inputs), and the worker keeps the serialized
 // output partition **resident** under a set id instead of shipping it up.
 // The next stage's task is placed on the worker that already holds its input,
 // so a narrow chain's steady-state IPC is task-assign and result-metric
@@ -34,7 +34,7 @@
 // kill under the local backend — and a replacement is forked at
 // incarnation + 1. Partitions that were resident on
 // the dead worker are *not* re-shipped: the parent registry stores each set's
-// lineage (kernel, closure, and the chain-head input bytes), so a lost
+// lineage (kernel, stage state, and the chain-head input bytes), so a lost
 // partition is rebuilt on demand by re-running kernels in the parent. Lineage
 // rebuilds consume no fault draws and charge no attempts (they are the PR 1
 // recomputation path, not retries), which keeps attempt accounting equal to
@@ -85,7 +85,7 @@ struct StoredInput {
 struct SetState {
   PoolStagePlan::Kind kind = PoolStagePlan::Kind::kNarrow;
   PoolKernelFn kernel = nullptr;
-  std::string closure;
+  std::string state;
   std::size_t num_targets = 0;  ///< wide only
   std::vector<std::vector<StoredInput>> task_inputs;  ///< per task / source
   std::vector<PartState> parts;
@@ -148,10 +148,10 @@ class PoolRegistryCore {
 };
 
 /// The job-lifetime pool. One per ProcessExecutor.
-class WorkerPool : public PoolResidency {
+class WorkerPool {
  public:
   WorkerPool(Engine& engine, std::size_t workers);
-  ~WorkerPool() override;
+  ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;

@@ -21,13 +21,12 @@ bool process_executor_supported() {
 }
 
 ProcessExecutor::ProcessExecutor(Engine& engine, std::size_t workers)
-    : workers_(std::max<std::size_t>(1, workers)),
+    : Executor(true),
+      workers_(std::max<std::size_t>(1, workers)),
       local_(engine),
       pool_(std::make_unique<WorkerPool>(engine, workers_)) {}
 
 ProcessExecutor::~ProcessExecutor() = default;
-
-PoolResidency* ProcessExecutor::residency() { return pool_.get(); }
 
 void ProcessExecutor::run_stage_tasks(StageRun run) {
   if (run.plan != nullptr && run.plan->kernel != nullptr &&

@@ -4,14 +4,14 @@
 // turning the engine's "modeled executors" into actual workers. It owns the
 // job's one routing decision:
 //
-//   * A stage that carries a PoolStagePlan (kernel pointer plus closure
-//     bytes) runs on the job-lifetime WorkerPool (dataflow/ipc/pool.hpp): N
+//   * A stage that carries a PoolStagePlan (kernel pointer plus encoded
+//     stage state) runs on the job-lifetime WorkerPool (dataflow/ipc/pool.hpp): N
 //     worker processes forked once, at the first planned stage, that keep
 //     output partitions resident between stages.
-//   * Every other stage — closures that are not trivially copyable, spill
-//     I/O, cache bookkeeping — runs its body in-process on the embedded
-//     LocalExecutor. The transformation layer has already pulled any
-//     worker-resident inputs such a stage needs back to the coordinator.
+//   * Every other stage — spill I/O, cache bookkeeping — runs its body
+//     in-process on the embedded LocalExecutor. The caller has already
+//     pulled any worker-resident inputs such a stage needs back to the
+//     coordinator.
 //
 // Either way the stage's outputs and metrics are byte-identical to the local
 // backend's, which stays the oracle. TSan builds (fork of a multithreaded
@@ -42,7 +42,6 @@ class ProcessExecutor : public Executor {
   const char* name() const override { return "process"; }
   std::size_t workers() const override { return workers_; }
   void run_stage_tasks(StageRun run) override;
-  PoolResidency* residency() override;
 
  private:
   std::size_t workers_;

@@ -52,7 +52,7 @@ enum class FrameKind : std::uint64_t {
   // Stage-protocol frames (PR 10). They share the 14-word header; any
   // kind-specific metadata (set ids, source indices, stage names) rides
   // inside the payload through the value codecs below.
-  kStageBegin = 2,   ///< parent -> worker: stage name, kind, kernel, closure
+  kStageBegin = 2,   ///< parent -> worker: stage name, kind, kernel, state
   kTaskAssign = 3,   ///< parent -> worker: one task with resolved inputs
   kShufflePush = 4,  ///< worker -> parent -> owner: one routed segment
   kStageEnd = 5,     ///< parent -> worker: barrier; wide stages assemble now

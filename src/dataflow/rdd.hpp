@@ -1,10 +1,13 @@
 // Key-value-pair RDDs and their transformations (the Spark stand-in).
 //
 // An Rdd<K, V> is a dataset physically split into partitions. Transformations
-// execute eagerly on the engine's worker pool — one task per partition — and
-// record measured work (records, bytes, shuffle traffic) into the engine's
-// job metrics. The three mechanisms the paper's D-RAPID design leans on are
-// all implemented for real:
+// execute eagerly — one task per partition, in-process or on the process
+// backend's worker pool, through the same per-partition function either way
+// — and record measured work (records, bytes, shuffle traffic) into the
+// engine's job metrics. Their closures must be captureless lambdas; values a
+// closure needs travel as codec-encoded stage state (see "Transformations"
+// below). The three mechanisms the paper's D-RAPID design leans on are all
+// implemented for real:
 //
 //   * HashPartitioner — deterministic key → partition mapping, shared between
 //     datasets so matching keys are colocated ("uniform partitioning",
@@ -18,12 +21,14 @@
 //     this difference).
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -210,6 +215,30 @@ void ensure_local(Rdd<K, V>& rdd) {
 }
 
 // --- Transformations ---------------------------------------------------------
+//
+// Each narrow transformation is written once, as a *per-partition function*:
+// a stateless functor mapping (input partition(s), closure, stage state,
+// TaskMetrics&) to its output partition. detail::run_partitions runs it over
+// a stage on either backend. Locally each task calls it on partitions[p]; on
+// the process backend the stage ships as a pool plan whose kernel
+// (detail::pool_kernel) decodes the state and inputs, calls the very same
+// function and encodes the result. Output bytes and TaskMetrics therefore
+// cannot diverge between backends.
+//
+// The closure contract: pool workers fork before any stage closure exists,
+// so a worker runs `Fn{}` rather than the caller's object. That is the same
+// closure only when it holds no state, so every closure must be captureless
+// (captureless_closure_v, enforced by static_assert). A value a closure
+// needs travels as the stage *state* instead, which crosses to the workers
+// through the ipc value codec (aggregate_by_key's init, flat_map_metered's
+// state argument).
+
+/// The rule every transformation closure must satisfy: an empty,
+/// default-constructible function object. In C++20 that is exactly a
+/// captureless lambda; a capture by pointer, reference or value fails it.
+template <typename Fn>
+inline constexpr bool captureless_closure_v =
+    std::is_empty_v<Fn> && std::is_default_constructible_v<Fn>;
 
 /// Distributes `pairs` round-robin into `num_partitions` chunks.
 template <typename K, typename V>
@@ -248,21 +277,265 @@ void record_output(TaskMetrics& task,
   for (const auto& kv : part) task.bytes_out += byte_size(kv);
 }
 
-// --- Pooled stage kernels (PR 10) -------------------------------------------
-//
-// Under the process backend a stage cannot ship its body closure to
-// the workers (they forked before it existed), so each transformation also
-// compiles a *kernel*: a plain function that decodes its serialized inputs,
-// applies the trivially-copyable closure bytes from the ctx, and returns the
-// serialized output. Kernels travel by function pointer — parent and child
-// are the same binary — and MUST fill TaskMetrics with exactly the numbers
-// the local body records: the backends' stage reports are compared
-// byte-for-byte in tests. Every kernel here mirrors its body line by line.
+template <typename Fn>
+constexpr void require_captureless() {
+  static_assert(captureless_closure_v<Fn>,
+                "RDD transformation closures must be captureless lambdas: "
+                "pool workers run Fn{}, so no capture can reach them. Pass "
+                "per-stage values as the stage state instead.");
+}
 
-/// Returns `in` untouched when its partitions are locally materialized, or
-/// decodes every resident partition into `storage` and returns that. Local
-/// fallback paths read through this so bodies always see real vectors even
-/// when an upstream pooled stage left its output worker-resident.
+/// The closure or state of a stage that has none.
+struct None {};
+
+/// A stage state the value codec cannot express member by member (one
+/// holding a DmGrid, say) encodes and decodes itself.
+template <typename State>
+concept SelfEncodingState =
+    requires(const State& s, ipc::WireWriter& w, ipc::WireReader& r) {
+      s.encode(w);
+      { State::decode(r) } -> std::same_as<State>;
+    };
+
+/// Stateless stages (an empty State) ship no state bytes at all.
+template <typename State>
+std::string encode_state(const State& state) {
+  ipc::WireWriter w;
+  if constexpr (std::is_empty_v<State>) {
+    // nothing to ship
+  } else if constexpr (SelfEncodingState<State>) {
+    state.encode(w);
+  } else {
+    ipc::encode_value(w, state);
+  }
+  return w.take();
+}
+
+template <typename State>
+State decode_state(const std::string& bytes) {
+  ipc::WireReader r(bytes);
+  State state = [&] {
+    if constexpr (std::is_empty_v<State>) {
+      return State{};
+    } else if constexpr (SelfEncodingState<State>) {
+      return State::decode(r);
+    } else {
+      State decoded{};
+      ipc::decode_value(r, decoded);
+      return decoded;
+    }
+  }();
+  if (!r.done()) throw ipc::WireError("stage state has trailing bytes");
+  return state;
+}
+
+// --- Per-partition functions -------------------------------------------------
+
+struct MapPairsPartition {
+  template <typename K, typename V, typename Fn>
+  auto operator()(const std::vector<std::pair<K, V>>& part, const Fn& fn,
+                  None, TaskMetrics& task) const {
+    std::vector<std::invoke_result_t<const Fn&, const std::pair<K, V>&>> out;
+    record_input(task, part);
+    out.reserve(part.size());
+    for (const auto& kv : part) out.push_back(fn(kv));
+    record_output(task, out);
+    return out;
+  }
+};
+
+struct MapValuesPartition {
+  template <typename K, typename V, typename Fn>
+  auto operator()(const std::vector<std::pair<K, V>>& part, const Fn& fn,
+                  None, TaskMetrics& task) const {
+    std::vector<std::pair<K, std::invoke_result_t<const Fn&, const V&>>> out;
+    record_input(task, part);
+    out.reserve(part.size());
+    for (const auto& kv : part) out.emplace_back(kv.first, fn(kv.second));
+    record_output(task, out);
+    return out;
+  }
+};
+
+struct FilterPartition {
+  template <typename K, typename V, typename Pred>
+  std::vector<std::pair<K, V>> operator()(
+      const std::vector<std::pair<K, V>>& part, const Pred& pred, None,
+      TaskMetrics& task) const {
+    std::vector<std::pair<K, V>> out;
+    record_input(task, part);
+    for (const auto& kv : part) {
+      if (pred(kv)) out.push_back(kv);
+    }
+    record_output(task, out);
+    return out;
+  }
+};
+
+/// fn(key, value, cost) for stateless stages, fn(key, value, state, cost)
+/// otherwise.
+struct FlatMapPartition {
+  template <typename K, typename V, typename Fn, typename State>
+  auto operator()(const std::vector<std::pair<K, V>>& part, const Fn& fn,
+                  const State& state, TaskMetrics& task) const {
+    const auto produce = [&](const std::pair<K, V>& kv, std::size_t& cost) {
+      if constexpr (std::is_same_v<State, None>) {
+        return fn(kv.first, kv.second, cost);
+      } else {
+        return fn(kv.first, kv.second, state, cost);
+      }
+    };
+    std::vector<typename decltype(produce(
+        std::declval<const std::pair<K, V>&>(),
+        std::declval<std::size_t&>()))::value_type>
+        out;
+    record_input(task, part);
+    task.compute_cost = 0;  // reported by fn instead of records_in
+    for (const auto& kv : part) {
+      std::size_t cost = 0;
+      auto produced = produce(kv, cost);
+      task.compute_cost += cost;
+      for (auto& item : produced) out.push_back(std::move(item));
+    }
+    record_output(task, out);
+    return out;
+  }
+};
+
+/// Map-side combine; the stage state is the accumulator's init value.
+struct CombinePartition {
+  template <typename K, typename V, typename Fold, typename Agg>
+  std::vector<std::pair<K, Agg>> operator()(
+      const std::vector<std::pair<K, V>>& part, const Fold& fold,
+      const Agg& init, TaskMetrics& task) const {
+    record_input(task, part);
+    task.compute_cost = task.records_in / 4;  // hash-fold per record
+    // Accumulators live densely in the flat map in first-encounter order —
+    // a pure function of the partition's record sequence, so the emitted
+    // layout is identical across thread counts and hash-table capacities.
+    FlatHashMap<K, Agg> local;
+    local.reserve(part.size());
+    for (const auto& kv : part) {
+      auto [entry, inserted] = local.try_emplace(kv.first, init);
+      fold(entry->second, kv.second);
+    }
+    auto out = local.take_entries();
+    record_output(task, out);
+    return out;
+  }
+};
+
+/// Final merge of accumulators; consumes its input partition.
+struct MergePartition {
+  template <typename K, typename Agg, typename Merge>
+  std::vector<std::pair<K, Agg>> operator()(
+      std::vector<std::pair<K, Agg>>& part, const Merge& merge, None,
+      TaskMetrics& task) const {
+    record_input(task, part);
+    task.compute_cost = task.records_in / 4;  // hash-merge per record
+    FlatHashMap<K, Agg> local;
+    local.reserve(part.size());
+    for (auto& kv : part) {
+      auto [entry, inserted] =
+          local.try_emplace(kv.first, std::move(kv.second));
+      if (!inserted) merge(entry->second, std::move(kv.second));
+    }
+    auto out = local.take_entries();
+    record_output(task, out);
+    return out;
+  }
+};
+
+/// Left outer join of partition p of both (co-partitioned) sides.
+struct JoinPartition {
+  template <typename K, typename V, typename W>
+  auto operator()(const std::vector<std::pair<K, V>>& lhs,
+                  const std::vector<std::pair<K, W>>& rhs, None, None,
+                  TaskMetrics& task) const {
+    std::vector<std::pair<K, std::pair<V, std::optional<W>>>> out;
+    record_input(task, lhs);
+    // Build side: duplicate right keys keep partition order in the chain,
+    // so matches are emitted deterministically per left record.
+    FlatHashMultiMap<K, const W*> index;
+    index.reserve(rhs.size());
+    for (const auto& kv : rhs) {
+      index.emplace(kv.first, &kv.second);
+      task.bytes_in += byte_size(kv);
+    }
+    task.records_in += rhs.size();
+    // Exact when right keys are unique, a lower bound otherwise.
+    out.reserve(lhs.size());
+    for (const auto& kv : lhs) {
+      const bool matched = index.for_each(kv.first, [&](const W* w) {
+        out.emplace_back(std::piecewise_construct,
+                         std::forward_as_tuple(kv.first),
+                         std::forward_as_tuple(kv.second, *w));
+      });
+      if (!matched) {
+        out.emplace_back(std::piecewise_construct,
+                         std::forward_as_tuple(kv.first),
+                         std::forward_as_tuple(kv.second, std::nullopt));
+      }
+    }
+    record_output(task, out);
+    return out;
+  }
+};
+
+// --- Running a stage on either backend --------------------------------------
+
+/// The one pool kernel: decodes the stage state and the task's input
+/// partition(s), runs the per-partition function with a default-constructed
+/// closure, and encodes the output. Kernels travel by function pointer —
+/// parent and child are the same binary.
+template <typename Partition, typename Fn, typename State, typename... In>
+std::string pool_kernel(const PoolTaskCtx& ctx) {
+  const State state = decode_state<State>(*ctx.state);
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    std::tuple<std::vector<In>...> parts{
+        ipc::decode_payload<In>(*ctx.inputs.at(I))...};
+    return ipc::encode_payload(
+        Partition{}(std::get<I>(parts)..., Fn{}, state, *ctx.metrics));
+  }(std::index_sequence_for<In...>{});
+}
+
+/// Runs a planned stage on the worker pool and leaves its output resident
+/// in `out`. The pool never calls the body.
+template <typename OutRdd>
+void run_pooled(Engine& engine, StageMetrics& stage, PoolStagePlan& plan,
+                OutRdd& out) {
+  engine.run_stage(
+      stage,
+      [](TaskContext&) {
+        throw std::logic_error("pooled stage body must not execute");
+      },
+      &plan);
+  out.resident = std::move(plan.out);
+}
+
+/// Names where task p's input partition lives: by residency handle when the
+/// upstream set is worker-resident (the zero-copy chain case), otherwise as
+/// inline bytes (chain heads), recorded by the pool for lineage. Tasks past
+/// the source count (partition_by's >= 1 source clamp) get an empty payload.
+template <typename K, typename V>
+PoolInputRef pool_input(const Rdd<K, V>& in, std::size_t p) {
+  PoolInputRef ref;
+  if (in.resident) {
+    ref.set = in.resident;
+    ref.partition = p;
+  } else {
+    ref.inline_bytes = std::make_shared<const std::string>(
+        p < in.num_partitions()
+            ? ipc::encode_payload(in.partitions[p])
+            : ipc::encode_payload(std::vector<std::pair<K, V>>{}));
+  }
+  return ref;
+}
+
+/// The local view of a stage input: `in` itself, or, if it is resident in
+/// the workers of another (pooled) engine, its partitions decoded into
+/// `storage`. A non-const input is the stage's to consume and is
+/// materialized in place.
 template <typename K, typename V>
 const Rdd<K, V>& localized(const Rdd<K, V>& in, Rdd<K, V>& storage) {
   if (!in.resident) return in;
@@ -274,107 +547,111 @@ const Rdd<K, V>& localized(const Rdd<K, V>& in, Rdd<K, V>& storage) {
   }
   return storage;
 }
-
-/// Names where task p's input partition lives: by residency handle when the
-/// upstream set is worker-resident (the zero-copy chain case), otherwise as
-/// inline bytes (chain heads), recorded by the pool for lineage. Tasks past
-/// the source count (partition_by's >= 1 source clamp) get an empty payload.
 template <typename K, typename V>
-void fill_pool_input(PoolInputRef& ref, const Rdd<K, V>& in, std::size_t p) {
-  if (in.resident) {
-    ref.set = in.resident;
-    ref.partition = p;
-  } else {
-    ref.inline_bytes = std::make_shared<const std::string>(
-        p < in.num_partitions()
-            ? ipc::encode_payload(in.partitions[p])
-            : ipc::encode_payload(std::vector<std::pair<K, V>>{}));
+Rdd<K, V>& localized(Rdd<K, V>& in, Rdd<K, V>&) {
+  ensure_local(in);
+  return in;
+}
+
+/// The local half of run_partitions: each task calls `Partition` on its
+/// partition(s) of the locally materialized inputs `src`.
+template <typename Partition, typename OutRdd, typename Fn, typename State,
+          typename... Srcs>
+void run_local(Engine& engine, StageMetrics& stage, OutRdd& out, const Fn& fn,
+               const State& state, Srcs&... src) {
+  engine.run_stage(stage, [&](TaskContext& ctx) {
+    const std::size_t p = ctx.partition();
+    out.partitions[p] =
+        Partition{}(src.partitions[p]..., fn, state, ctx.metrics());
+  });
+}
+
+/// Runs `Partition` as stage `name`, one task per input partition, and
+/// returns its output Rdd (partitioner_id left unknown for the caller to
+/// set). On the process backend the stage is a pool plan and the output
+/// stays worker-resident; resident inputs are never pulled back for it.
+/// Elsewhere each task calls `Partition` on its local partition(s).
+template <typename Partition, typename Fn, typename State, typename... Ins>
+auto run_partitions(Engine& engine, const std::string& name, const Fn& fn,
+                    const State& state, Ins&... in) {
+  require_captureless<Fn>();
+  using OutPart = std::invoke_result_t<
+      const Partition&, decltype(std::declval<Ins&>().partitions[0])...,
+      const Fn&, const State&, TaskMetrics&>;
+  using OutPair = typename OutPart::value_type;
+  Rdd<typename OutPair::first_type, typename OutPair::second_type> out;
+  const std::size_t tasks = std::max({in.num_partitions()...});
+  out.partitions.resize(tasks);
+  auto& stage = engine.begin_stage(name, tasks);
+  if (engine.pooled() && tasks > 0) {
+    PoolStagePlan plan;
+    plan.kernel = &pool_kernel<Partition, Fn, State, typename Ins::Pair...>;
+    plan.state = encode_state(state);
+    plan.inputs = [&](std::size_t task) {
+      return std::vector<PoolInputRef>{pool_input(in, task)...};
+    };
+    run_pooled(engine, stage, plan, out);
+    return out;
   }
+  std::tuple<std::remove_const_t<Ins>...> storage;
+  std::apply(
+      [&](auto&... stor) {
+        run_local<Partition>(engine, stage, out, fn, state,
+                             localized(in, stor)...);
+      },
+      storage);
+  return out;
+}
+}  // namespace detail
+
+/// 1:1 transformation of whole pairs. Set `preserves_partitioning` only when
+/// `fn` never changes keys.
+template <typename K, typename V, typename Fn>
+auto map_pairs(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
+               const std::string& name = "map_pairs",
+               bool preserves_partitioning = false) {
+  auto out = detail::run_partitions<detail::MapPairsPartition>(
+      engine, name, fn, detail::None{}, in);
+  out.partitioner_id = preserves_partitioning ? in.partitioner_id : 0;
+  return out;
 }
 
-template <typename K, typename V>
-std::function<std::vector<PoolInputRef>(std::size_t)> pool_inputs(
-    const Rdd<K, V>& in) {
-  return [&in](std::size_t task) {
-    std::vector<PoolInputRef> refs(1);
-    fill_pool_input(refs[0], in, task);
-    return refs;
-  };
+/// Value-only transformation; always preserves partitioning.
+template <typename K, typename V, typename Fn>
+auto map_values(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
+                const std::string& name = "map_values") {
+  auto out = detail::run_partitions<detail::MapValuesPartition>(
+      engine, name, fn, detail::None{}, in);
+  out.partitioner_id = in.partitioner_id;
+  return out;
 }
 
-/// Body stub for plan-backed stages. The pool backend never invokes the
-/// body; any other backend reaching this indicates a mis-gated plan (plans
-/// are only built when pool_residency() is non-null), so fail loudly rather
-/// than silently producing empty partitions.
-inline std::function<void(TaskContext&)> unpooled_body() {
-  return [](TaskContext&) {
-    throw std::logic_error("pooled stage body must not execute");
-  };
-}
-
-template <typename K, typename V, typename OutPair, typename Fn>
-std::string map_pairs_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Fn), alignof(Fn)> storage;
-  const Fn& fn = pool_closure_cast<Fn>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  std::vector<OutPair> out;
-  out.reserve(part.size());
-  for (const auto& kv : part) out.push_back(fn(kv));
-  record_output(task, out);
-  return ipc::encode_payload(out);
-}
-
-template <typename K, typename V, typename V2, typename Fn>
-std::string map_values_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Fn), alignof(Fn)> storage;
-  const Fn& fn = pool_closure_cast<Fn>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  std::vector<std::pair<K, V2>> out;
-  out.reserve(part.size());
-  for (const auto& kv : part) out.emplace_back(kv.first, fn(kv.second));
-  record_output(task, out);
-  return ipc::encode_payload(out);
-}
-
+/// Keeps pairs where `pred(pair)` is true; preserves partitioning.
 template <typename K, typename V, typename Pred>
-std::string filter_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Pred), alignof(Pred)> storage;
-  const Pred& pred = pool_closure_cast<Pred>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  std::vector<std::pair<K, V>> out;
-  for (const auto& kv : part) {
-    if (pred(kv)) out.push_back(kv);
-  }
-  record_output(task, out);
-  return ipc::encode_payload(out);
+Rdd<K, V> filter_pairs(Engine& engine, const Rdd<K, V>& in, Pred&& pred,
+                       const std::string& name = "filter") {
+  auto out = detail::run_partitions<detail::FilterPartition>(
+      engine, name, pred, detail::None{}, in);
+  out.partitioner_id = in.partitioner_id;
+  return out;
 }
 
-template <typename K, typename V, typename OutPair, typename Fn>
-std::string flat_map_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Fn), alignof(Fn)> storage;
-  const Fn& fn = pool_closure_cast<Fn>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  task.compute_cost = 0;  // reported by fn instead of records_in
-  std::vector<OutPair> out;
-  for (const auto& kv : part) {
-    std::size_t cost = 0;
-    auto produced = fn(kv.first, kv.second, cost);
-    task.compute_cost += cost;
-    for (auto& item : produced) out.push_back(std::move(item));
-  }
-  record_output(task, out);
-  return ipc::encode_payload(out);
+/// 1:many transformation with caller-reported compute cost:
+/// fn(key, value, cost_inout) -> vector<pair<K2, V2>>. A closure that needs
+/// per-stage values takes them as `state` instead of capturing them:
+/// fn(key, value, state, cost_inout). The state is passed by reference
+/// locally and through the value codec (or its own encode/decode members)
+/// to pool workers.
+template <typename K, typename V, typename Fn, typename State = detail::None>
+auto flat_map_metered(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
+                      const std::string& name = "flat_map",
+                      const State& state = {}) {
+  return detail::run_partitions<detail::FlatMapPartition>(engine, name, fn,
+                                                          state, in);
 }
 
-/// Trivially-copyable closure of the wide shuffle kernel.
+namespace detail {
+/// State of the wide shuffle kernel.
 struct WideSpec {
   HashPartitioner part;
   std::uint64_t executors = 1;
@@ -386,8 +663,7 @@ struct WideSpec {
 /// never pass through the coordinator.
 template <typename K, typename V>
 std::string partition_by_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(WideSpec), alignof(WideSpec)> storage;
-  const WideSpec& spec = pool_closure_cast<WideSpec>(*ctx.closure, storage);
+  const auto spec = decode_state<WideSpec>(*ctx.state);
   const auto records =
       ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
   auto& task = *ctx.metrics;
@@ -418,266 +694,7 @@ std::string partition_by_kernel(const PoolTaskCtx& ctx) {
   }
   return bundle.take();
 }
-
-/// Trivially-copyable closure of the map-side combine kernel.
-template <typename Agg, typename Fold>
-struct CombineSpec {
-  Agg init;
-  Fold fold;
-};
-
-template <typename T, typename = void>
-inline constexpr bool eq_comparable_v = false;
-template <typename T>
-inline constexpr bool eq_comparable_v<
-    T, std::void_t<decltype(std::declval<const T&>() ==
-                            std::declval<const T&>())>> = true;
-
-template <typename K, typename V, typename Agg, typename Fold>
-std::string combine_kernel(const PoolTaskCtx& ctx) {
-  using Spec = CombineSpec<Agg, Fold>;
-  std::aligned_storage_t<sizeof(Spec), alignof(Spec)> storage;
-  const Spec& spec = pool_closure_cast<Spec>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  task.compute_cost = task.records_in / 4;  // hash-fold per record
-  FlatHashMap<K, Agg> local;
-  local.reserve(part.size());
-  for (const auto& kv : part) {
-    auto [entry, inserted] = local.try_emplace(kv.first, spec.init);
-    spec.fold(entry->second, kv.second);
-  }
-  auto combined = local.take_entries();
-  record_output(task, combined);
-  return ipc::encode_payload(combined);
-}
-
-/// Combine kernel for accumulators that are not trivially copyable (e.g.
-/// std::string) but whose init value is default-constructed: only the fold
-/// closure ships, and the worker materializes `Agg{}` per key itself.
-template <typename K, typename V, typename Agg, typename Fold>
-std::string combine_default_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Fold), alignof(Fold)> storage;
-  const Fold& fold = pool_closure_cast<Fold>(*ctx.closure, storage);
-  const auto part = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  task.compute_cost = task.records_in / 4;  // hash-fold per record
-  FlatHashMap<K, Agg> local;
-  local.reserve(part.size());
-  for (const auto& kv : part) {
-    auto [entry, inserted] = local.try_emplace(kv.first, Agg{});
-    fold(entry->second, kv.second);
-  }
-  auto combined = local.take_entries();
-  record_output(task, combined);
-  return ipc::encode_payload(combined);
-}
-
-template <typename K, typename Agg, typename Merge>
-std::string merge_kernel(const PoolTaskCtx& ctx) {
-  std::aligned_storage_t<sizeof(Merge), alignof(Merge)> storage;
-  const Merge& merge = pool_closure_cast<Merge>(*ctx.closure, storage);
-  auto part = ipc::decode_payload<std::pair<K, Agg>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  record_input(task, part);
-  task.compute_cost = task.records_in / 4;  // hash-merge per record
-  FlatHashMap<K, Agg> local;
-  local.reserve(part.size());
-  for (auto& kv : part) {
-    auto [entry, inserted] =
-        local.try_emplace(kv.first, std::move(kv.second));
-    if (!inserted) merge(entry->second, std::move(kv.second));
-  }
-  auto out = local.take_entries();
-  record_output(task, out);
-  return ipc::encode_payload(out);
-}
-
-/// Join kernel: inputs.at(0) = left partition p, inputs.at(1) = right
-/// partition p (both already conforming to the join partitioner). Stateless
-/// — the plan ships an empty closure.
-template <typename K, typename V, typename W>
-std::string join_kernel(const PoolTaskCtx& ctx) {
-  const auto lhs = ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  const auto rhs = ipc::decode_payload<std::pair<K, W>>(*ctx.inputs.at(1));
-  auto& task = *ctx.metrics;
-  record_input(task, lhs);
-  FlatHashMultiMap<K, const W*> index;
-  index.reserve(rhs.size());
-  for (const auto& kv : rhs) {
-    index.emplace(kv.first, &kv.second);
-    task.bytes_in += byte_size(kv);
-  }
-  task.records_in += rhs.size();
-  std::vector<std::pair<K, std::pair<V, std::optional<W>>>> out;
-  out.reserve(lhs.size());
-  for (const auto& kv : lhs) {
-    const bool matched = index.for_each(kv.first, [&](const W* w) {
-      out.emplace_back(std::piecewise_construct,
-                       std::forward_as_tuple(kv.first),
-                       std::forward_as_tuple(kv.second, *w));
-    });
-    if (!matched) {
-      out.emplace_back(std::piecewise_construct,
-                       std::forward_as_tuple(kv.first),
-                       std::forward_as_tuple(kv.second, std::nullopt));
-    }
-  }
-  record_output(task, out);
-  return ipc::encode_payload(out);
-}
 }  // namespace detail
-
-/// 1:1 transformation of whole pairs. Set `preserves_partitioning` only when
-/// `fn` never changes keys.
-template <typename K, typename V, typename Fn>
-auto map_pairs(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
-               const std::string& name = "map_pairs",
-               bool preserves_partitioning = false) {
-  using OutPair = decltype(fn(std::declval<const std::pair<K, V>&>()));
-  using FnT = std::decay_t<Fn>;
-  Rdd<typename OutPair::first_type, typename OutPair::second_type> out;
-  out.partitions.resize(in.num_partitions());
-  out.partitioner_id = preserves_partitioning ? in.partitioner_id : 0;
-  auto& stage = engine.begin_stage(name, in.num_partitions());
-  if constexpr (std::is_trivially_copyable_v<FnT>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::map_pairs_kernel<K, V, OutPair, FnT>;
-      plan.closure = pool_closure_bytes<FnT>(fn);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      out.resident = std::move(plan.out);
-      return out;
-    }
-  }
-  Rdd<K, V> stor;
-  const Rdd<K, V>& src = detail::localized(in, stor);
-  engine.run_stage(stage, [&](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, src.partitions[p]);
-    out.partitions[p].reserve(src.partitions[p].size());
-    for (const auto& kv : src.partitions[p]) out.partitions[p].push_back(fn(kv));
-    detail::record_output(task, out.partitions[p]);
-  });
-  return out;
-}
-
-/// Value-only transformation; always preserves partitioning.
-template <typename K, typename V, typename Fn>
-auto map_values(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
-                const std::string& name = "map_values") {
-  using V2 = decltype(fn(std::declval<const V&>()));
-  using FnT = std::decay_t<Fn>;
-  Rdd<K, V2> out;
-  out.partitions.resize(in.num_partitions());
-  out.partitioner_id = in.partitioner_id;
-  auto& stage = engine.begin_stage(name, in.num_partitions());
-  if constexpr (std::is_trivially_copyable_v<FnT>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::map_values_kernel<K, V, V2, FnT>;
-      plan.closure = pool_closure_bytes<FnT>(fn);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      out.resident = std::move(plan.out);
-      return out;
-    }
-  }
-  Rdd<K, V> stor;
-  const Rdd<K, V>& src = detail::localized(in, stor);
-  engine.run_stage(stage, [&](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, src.partitions[p]);
-    out.partitions[p].reserve(src.partitions[p].size());
-    for (const auto& kv : src.partitions[p]) {
-      out.partitions[p].emplace_back(kv.first, fn(kv.second));
-    }
-    detail::record_output(task, out.partitions[p]);
-  });
-  return out;
-}
-
-/// Keeps pairs where `pred(pair)` is true; preserves partitioning.
-template <typename K, typename V, typename Pred>
-Rdd<K, V> filter_pairs(Engine& engine, const Rdd<K, V>& in, Pred&& pred,
-                       const std::string& name = "filter") {
-  using PredT = std::decay_t<Pred>;
-  Rdd<K, V> out;
-  out.partitions.resize(in.num_partitions());
-  out.partitioner_id = in.partitioner_id;
-  auto& stage = engine.begin_stage(name, in.num_partitions());
-  if constexpr (std::is_trivially_copyable_v<PredT>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::filter_kernel<K, V, PredT>;
-      plan.closure = pool_closure_bytes<PredT>(pred);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      out.resident = std::move(plan.out);
-      return out;
-    }
-  }
-  Rdd<K, V> stor;
-  const Rdd<K, V>& src = detail::localized(in, stor);
-  engine.run_stage(stage, [&](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, src.partitions[p]);
-    for (const auto& kv : src.partitions[p]) {
-      if (pred(kv)) out.partitions[p].push_back(kv);
-    }
-    detail::record_output(task, out.partitions[p]);
-  });
-  return out;
-}
-
-/// 1:many transformation with caller-reported compute cost:
-/// fn(key, value, cost_inout) -> vector<pair<K2, V2>>.
-template <typename K, typename V, typename Fn>
-auto flat_map_metered(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
-                      const std::string& name = "flat_map") {
-  using OutVec = decltype(fn(std::declval<const K&>(), std::declval<const V&>(),
-                             std::declval<std::size_t&>()));
-  using OutPair = typename OutVec::value_type;
-  using FnT = std::decay_t<Fn>;
-  Rdd<typename OutPair::first_type, typename OutPair::second_type> out;
-  out.partitions.resize(in.num_partitions());
-  auto& stage = engine.begin_stage(name, in.num_partitions());
-  if constexpr (std::is_trivially_copyable_v<FnT>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::flat_map_kernel<K, V, OutPair, FnT>;
-      plan.closure = pool_closure_bytes<FnT>(fn);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      out.resident = std::move(plan.out);
-      return out;
-    }
-  }
-  Rdd<K, V> stor;
-  const Rdd<K, V>& src = detail::localized(in, stor);
-  engine.run_stage(stage, [&](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, src.partitions[p]);
-    task.compute_cost = 0;  // reported by fn instead of records_in
-    for (const auto& kv : src.partitions[p]) {
-      std::size_t cost = 0;
-      auto produced = fn(kv.first, kv.second, cost);
-      task.compute_cost += cost;
-      for (auto& item : produced) {
-        out.partitions[p].push_back(std::move(item));
-      }
-    }
-    detail::record_output(task, out.partitions[p]);
-  });
-  return out;
-}
 
 /// Wide transformation: re-buckets every pair by `partitioner`. Bytes that
 /// land on a different modeled executor than they started on are counted as
@@ -694,7 +711,7 @@ Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
   out.partitions.resize(targets);
   out.partitioner_id = partitioner.id();
 
-  if (engine.pool_residency() != nullptr) {
+  if (engine.pooled()) {
     // Worker-routed shuffle: each source task runs the wide kernel, keeps
     // the segments owned by its own worker slot and pushes the rest
     // worker-to-worker through the parent. The shuffled records never enter
@@ -703,12 +720,13 @@ Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
     PoolStagePlan plan;
     plan.kind = PoolStagePlan::Kind::kWide;
     plan.kernel = &detail::partition_by_kernel<K, V>;
-    detail::WideSpec spec{partitioner, static_cast<std::uint64_t>(executors)};
-    plan.closure = pool_closure_bytes(spec);
+    plan.state = detail::encode_state(
+        detail::WideSpec{partitioner, static_cast<std::uint64_t>(executors)});
     plan.num_targets = targets;
-    plan.inputs = detail::pool_inputs(in);
-    engine.run_stage(stage, detail::unpooled_body(), &plan);
-    out.resident = std::move(plan.out);
+    plan.inputs = [&in](std::size_t task) {
+      return std::vector<PoolInputRef>{detail::pool_input(in, task)};
+    };
+    detail::run_pooled(engine, stage, plan, out);
     return out;
   }
   Rdd<K, V> stor;
@@ -775,67 +793,16 @@ Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
 /// `merge(agg, other)` combines accumulators from different partitions.
 /// The result is partitioned by `partitioner`; if `in` already is, the
 /// aggregation is purely local (zero shuffle — the Figure 3 optimization).
+/// `init` is the combine stage's state: it reaches pool workers through the
+/// value codec, like the Agg partitions themselves.
 template <typename K, typename V, typename Agg, typename Fold, typename Merge>
 Rdd<K, Agg> aggregate_by_key(Engine& engine, const Rdd<K, V>& in,
                              const Agg& init, Fold&& fold, Merge&& merge,
                              const HashPartitioner& partitioner,
                              const std::string& name = "aggregate_by_key") {
-  using FoldT = std::decay_t<Fold>;
-  using MergeT = std::decay_t<Merge>;
-  // Map-side combine per partition.
-  Rdd<K, Agg> combined;
-  combined.partitions.resize(in.num_partitions());
+  Rdd<K, Agg> combined = detail::run_partitions<detail::CombinePartition>(
+      engine, name + ":combine", fold, init, in);
   combined.partitioner_id = in.partitioner_id;
-  auto& stage = engine.begin_stage(name + ":combine", in.num_partitions());
-  bool pooled_combine = false;
-  if constexpr (std::is_trivially_copyable_v<detail::CombineSpec<Agg, FoldT>>) {
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::combine_kernel<K, V, Agg, FoldT>;
-      detail::CombineSpec<Agg, FoldT> spec{init, fold};
-      plan.closure = pool_closure_bytes(spec);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      combined.resident = std::move(plan.out);
-      pooled_combine = true;
-    }
-  } else if constexpr (std::is_trivially_copyable_v<FoldT> &&
-                       std::is_default_constructible_v<Agg> &&
-                       detail::eq_comparable_v<Agg>) {
-    // The accumulator itself can't ship by bytes, but when the caller's init
-    // is just a default-constructed value the worker can rebuild it locally.
-    if (engine.pool_residency() != nullptr && in.num_partitions() > 0 &&
-        init == Agg{}) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::combine_default_kernel<K, V, Agg, FoldT>;
-      plan.closure = pool_closure_bytes<FoldT>(fold);
-      plan.inputs = detail::pool_inputs(in);
-      engine.run_stage(stage, detail::unpooled_body(), &plan);
-      combined.resident = std::move(plan.out);
-      pooled_combine = true;
-    }
-  }
-  if (!pooled_combine) {
-    Rdd<K, V> stor;
-    const Rdd<K, V>& src = detail::localized(in, stor);
-    engine.run_stage(stage, [&](TaskContext& ctx) {
-      const std::size_t p = ctx.partition();
-      auto& task = ctx.metrics();
-      detail::record_input(task, src.partitions[p]);
-      task.compute_cost = task.records_in / 4;  // hash-fold per record
-      // Accumulators live densely in the flat map in first-encounter order —
-      // a pure function of the partition's record sequence, so the emitted
-      // layout is identical across thread counts and hash-table capacities.
-      FlatHashMap<K, Agg> local;
-      local.reserve(src.partitions[p].size());
-      for (const auto& kv : src.partitions[p]) {
-        auto [entry, inserted] = local.try_emplace(kv.first, init);
-        fold(entry->second, kv.second);
-      }
-      combined.partitions[p] = local.take_entries();
-      detail::record_output(task, combined.partitions[p]);
-    });
-  }
 
   const bool copartitioned =
       combined.partitioner_id == partitioner.id() &&
@@ -846,60 +813,32 @@ Rdd<K, Agg> aggregate_by_key(Engine& engine, const Rdd<K, V>& in,
                                    name + ":shuffle");
 
   // Final merge of accumulators that met in the same partition.
-  Rdd<K, Agg> out;
-  out.partitions.resize(shuffled.num_partitions());
+  Rdd<K, Agg> out = detail::run_partitions<detail::MergePartition>(
+      engine, name + ":merge", merge, detail::None{}, shuffled);
   out.partitioner_id = partitioner.id();
-  auto& merge_stage =
-      engine.begin_stage(name + ":merge", shuffled.num_partitions());
-  if constexpr (std::is_trivially_copyable_v<MergeT>) {
-    if (engine.pool_residency() != nullptr && shuffled.num_partitions() > 0) {
-      PoolStagePlan plan;
-      plan.kernel = &detail::merge_kernel<K, Agg, MergeT>;
-      plan.closure = pool_closure_bytes<MergeT>(merge);
-      plan.inputs = detail::pool_inputs(shuffled);
-      engine.run_stage(merge_stage, detail::unpooled_body(), &plan);
-      out.resident = std::move(plan.out);
-      return out;
-    }
-  }
-  ensure_local(shuffled);  // the merge body consumes its input by move
-  engine.run_stage(merge_stage, [&](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, shuffled.partitions[p]);
-    task.compute_cost = task.records_in / 4;  // hash-merge per record
-    FlatHashMap<K, Agg> local;
-    local.reserve(shuffled.partitions[p].size());
-    for (auto& kv : shuffled.partitions[p]) {
-      auto [entry, inserted] = local.try_emplace(kv.first, std::move(kv.second));
-      if (!inserted) merge(entry->second, std::move(kv.second));
-    }
-    out.partitions[p] = local.take_entries();
-    detail::record_output(task, out.partitions[p]);
-  });
   return out;
 }
 
-/// reduce_by_key specialization of aggregate_by_key.
+/// reduce_by_key specialization of aggregate_by_key. `reduce` must be
+/// captureless like every closure; the fold and merge below call Reduce{}.
 template <typename K, typename V, typename Reduce>
-Rdd<K, V> reduce_by_key(Engine& engine, const Rdd<K, V>& in, Reduce&& reduce,
+Rdd<K, V> reduce_by_key(Engine& engine, const Rdd<K, V>& in, Reduce&&,
                         const HashPartitioner& partitioner,
                         const std::string& name = "reduce_by_key") {
-  // `reduce` is captured by value so the fold/merge closures stay trivially
-  // copyable whenever it is — the property that lets the process backend
-  // ship them to resident workers as raw bytes.
+  using ReduceT = std::decay_t<Reduce>;
+  detail::require_captureless<ReduceT>();
   auto wrapped = aggregate_by_key(
       engine, in, std::optional<V>{},
-      [reduce](std::optional<V>& agg, const V& v) {
+      [](std::optional<V>& agg, const V& v) {
         if (agg) {
-          *agg = reduce(*agg, v);
+          *agg = ReduceT{}(*agg, v);
         } else {
           agg = v;
         }
       },
-      [reduce](std::optional<V>& agg, std::optional<V>&& other) {
+      [](std::optional<V>& agg, std::optional<V>&& other) {
         if (agg && other) {
-          *agg = reduce(*agg, *other);
+          *agg = ReduceT{}(*agg, *other);
         } else if (other) {
           agg = std::move(other);
         }
@@ -915,7 +854,9 @@ Rdd<K, V> reduce_by_key(Engine& engine, const Rdd<K, V>& in, Reduce&& reduce,
 /// nullopt). If both inputs are already laid out by `partitioner`, the join
 /// is partition-local with zero shuffle; otherwise the non-conforming side(s)
 /// are shuffled first and the traffic is recorded (the ablation measures
-/// this difference).
+/// this difference). On the process backend, conforming sets produced by
+/// the pool's wide stages place partition p on the same worker slot, so a
+/// co-partitioned join reads both inputs locally in the worker.
 template <typename K, typename V, typename W>
 Rdd<K, std::pair<V, std::optional<W>>> left_outer_join(
     Engine& engine, const Rdd<K, V>& left, const Rdd<K, W>& right,
@@ -936,61 +877,9 @@ Rdd<K, std::pair<V, std::optional<W>>> left_outer_join(
     rhs_shuffled = partition_by(engine, right, partitioner, name + ":shuffleR");
     rhs = &rhs_shuffled;
   }
-
-  Rdd<K, std::pair<V, std::optional<W>>> out;
-  out.partitions.resize(partitioner.num_partitions);
+  auto out = detail::run_partitions<detail::JoinPartition>(
+      engine, name, detail::None{}, detail::None{}, *lhs, *rhs);
   out.partitioner_id = partitioner.id();
-  auto& stage = engine.begin_stage(name, partitioner.num_partitions);
-  if (engine.pool_residency() != nullptr && partitioner.num_partitions > 0) {
-    // Both sides conform to `partitioner` here, and conforming sets produced
-    // by the pool's wide stages place partition p on the same worker slot —
-    // so a co-partitioned join reads both inputs locally in the worker.
-    PoolStagePlan plan;
-    plan.kernel = &detail::join_kernel<K, V, W>;  // stateless: empty closure
-    plan.inputs = [&left = *lhs, &right = *rhs](std::size_t task) {
-      std::vector<PoolInputRef> refs(2);
-      detail::fill_pool_input(refs[0], left, task);
-      detail::fill_pool_input(refs[1], right, task);
-      return refs;
-    };
-    engine.run_stage(stage, detail::unpooled_body(), &plan);
-    out.resident = std::move(plan.out);
-    return out;
-  }
-  Rdd<K, V> lstor;
-  Rdd<K, W> rstor;
-  const Rdd<K, V>* jl = &detail::localized(*lhs, lstor);
-  const Rdd<K, W>* jr = &detail::localized(*rhs, rstor);
-  engine.run_stage(stage, [&, lhs = jl, rhs = jr](TaskContext& ctx) {
-    const std::size_t p = ctx.partition();
-    auto& task = ctx.metrics();
-    detail::record_input(task, lhs->partitions[p]);
-    // Build side: duplicate right keys keep partition order in the chain,
-    // so matches are emitted deterministically per left record.
-    FlatHashMultiMap<K, const W*> index;
-    index.reserve(rhs->partitions[p].size());
-    for (const auto& kv : rhs->partitions[p]) {
-      index.emplace(kv.first, &kv.second);
-      task.bytes_in += byte_size(kv);
-    }
-    task.records_in += rhs->partitions[p].size();
-    // Exact when right keys are unique, a lower bound otherwise.
-    out.partitions[p].reserve(lhs->partitions[p].size());
-    for (const auto& kv : lhs->partitions[p]) {
-      const bool matched = index.for_each(kv.first, [&](const W* w) {
-        out.partitions[p].emplace_back(std::piecewise_construct,
-                                       std::forward_as_tuple(kv.first),
-                                       std::forward_as_tuple(kv.second, *w));
-      });
-      if (!matched) {
-        out.partitions[p].emplace_back(std::piecewise_construct,
-                                       std::forward_as_tuple(kv.first),
-                                       std::forward_as_tuple(kv.second,
-                                                            std::nullopt));
-      }
-    }
-    detail::record_output(task, out.partitions[p]);
-  });
   return out;
 }
 

@@ -73,7 +73,9 @@ std::size_t StreamingSweep::prepare_window(std::size_t count) {
   window_stride_ = carry_len + count;
   window_start_ = pushed_ - carry_len;
   window_.resize(channels_ * window_stride_);
-  for (std::size_t c = 0; c < channels_; ++c) {
+  // No copy when there is no carry: carry_ is empty for a zero max_shift,
+  // and memcpy from its null data() is undefined even at length 0.
+  for (std::size_t c = 0; carry_len != 0 && c < channels_; ++c) {
     std::memcpy(window_.data() + c * window_stride_,
                 carry_.data() + c * max_shift_, carry_len * sizeof(float));
   }
@@ -102,7 +104,8 @@ void StreamingSweep::commit_block(std::size_t count) {
   // Refresh the overlap carry with the last max_shift samples seen.
   const std::size_t carry_len = std::min(max_shift_, pushed_);
   const std::size_t tail = window_stride_ - carry_len;
-  for (std::size_t c = 0; c < channels_; ++c) {
+  // As in prepare_window: carry_ or window_ may be empty (null data()).
+  for (std::size_t c = 0; carry_len != 0 && c < channels_; ++c) {
     std::memmove(carry_.data() + c * max_shift_,
                  window_.data() + c * window_stride_ + tail,
                  carry_len * sizeof(float));
@@ -154,7 +157,8 @@ void StreamingSweep::push(const Filterbank& fb, std::size_t begin,
   // filterbank itself bounds the real data, so clamp rather than throw.
   count = std::min(count, total_samples_ - begin);
   const std::size_t carry_len = prepare_window(count);
-  for (std::size_t c = 0; c < channels_; ++c) {
+  // A zero-length first chunk leaves window_ empty (null data()).
+  for (std::size_t c = 0; count != 0 && c < channels_; ++c) {
     std::memcpy(window_.data() + c * window_stride_ + carry_len,
                 fb.channel_data(c) + begin, count * sizeof(float));
   }

@@ -1,7 +1,6 @@
 #include "drapid/driver.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -83,7 +82,7 @@ StringRdd load_keyed_file(Engine& engine, BlockStore& store,
   rdd.partitions.resize(chunks.size());
   auto& stage =
       engine.begin_stage(stage_prefix + "load:" + name, chunks.size());
-  if (engine.pool_residency() != nullptr && !chunks.empty()) {
+  if (engine.pooled() && !chunks.empty()) {
     // Ship the raw chunk text to the pool; the parsed partitions never
     // travel back — downstream stages consume them worker-resident. Each
     // chunk moves into the one buffer that is both sent and kept as
@@ -100,8 +99,7 @@ StringRdd load_keyed_file(Engine& engine, BlockStore& store,
       refs[0].inline_bytes = shared[task];
       return refs;
     };
-    engine.run_stage(stage, detail::unpooled_body(), &plan);
-    rdd.resident = std::move(plan.out);
+    detail::run_pooled(engine, stage, plan, rdd);
     return rdd;
   }
   engine.run_stage(stage, [&](TaskContext& ctx) {
@@ -209,43 +207,26 @@ std::vector<std::pair<std::string, std::string>> search_key(
   return out;
 }
 
-/// Pooled search kernel. The closure string carries RapidParams as raw bytes
-/// followed by the encoded DM plan; the worker rebuilds the grid (DmGrid
+/// The search stage's state: Algorithm 1's parameters and the DM grid. Pool
+/// workers receive the grid's plan by value and rebuild it (DmGrid
 /// construction from a plan is deterministic, so extracted features match
-/// the driver's grid bit for bit). Shipping the plan by value — never a
-/// pointer — keeps the kernel valid in workers forked before this grid
-/// existed. Metrics mirror flat_map_metered's local body.
-std::string search_stage_kernel(const PoolTaskCtx& ctx) {
+/// the driver's grid bit for bit).
+struct SearchState {
   RapidParams params;
-  std::memcpy(&params, ctx.closure->data(), sizeof(params));
-  ipc::WireReader reader(ctx.closure->data() + sizeof(params),
-                         ctx.closure->size() - sizeof(params));
-  std::vector<DmPlanSegment> plan;
-  ipc::decode_value(reader, plan);
-  const DmGrid grid(std::move(plan));
+  DmGrid grid;
 
-  using JoinedPair =
-      std::pair<std::string,
-                std::pair<std::string, std::optional<std::string>>>;
-  const auto part = ipc::decode_payload<JoinedPair>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  detail::record_input(task, part);
-  task.compute_cost = 0;
-  std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& kv : part) {
-    std::size_t cost = 0;
-    const auto& v = kv.second;
-    if (v.second && !v.second->empty() && !v.first.empty()) {
-      auto produced =
-          search_key(kv.first, split_lines(v.first), *v.second, grid, params,
-                     cost);
-      for (auto& item : produced) out.push_back(std::move(item));
-    }
-    task.compute_cost += cost;
+  void encode(ipc::WireWriter& w) const {
+    ipc::encode_value(w, params);
+    ipc::encode_value(w, grid.plan());
   }
-  detail::record_output(task, out);
-  return ipc::encode_payload(out);
-}
+  static SearchState decode(ipc::WireReader& r) {
+    RapidParams params;
+    ipc::decode_value(r, params);
+    std::vector<DmPlanSegment> plan;
+    ipc::decode_value(r, plan);
+    return {params, DmGrid(std::move(plan))};
+  }
+};
 
 }  // namespace
 
@@ -351,37 +332,17 @@ DrapidResult run_drapid(Engine& engine, BlockStore& store,
 
   // Stage 3d: the search phase.
   phase.emplace(engine.tracer(), "phase", "search", "driver");
-  const RapidParams rapid_params = config.rapid;
-  StringRdd ml_rows;
-  if (engine.pool_residency() != nullptr && joined.num_partitions() > 0) {
-    // The generic flat_map gate must not see this closure: it captures the
-    // grid by pointer, which a pool worker forked earlier cannot follow.
-    // Ship the grid's plan by value instead and rebuild it in the worker.
-    ml_rows.partitions.resize(joined.num_partitions());
-    auto& stage = engine.begin_stage("search", joined.num_partitions());
-    PoolStagePlan plan;
-    plan.kernel = &search_stage_kernel;
-    plan.closure.assign(reinterpret_cast<const char*>(&rapid_params),
-                        sizeof(rapid_params));
-    plan.closure += ipc::encode_payload(grid.plan());
-    plan.inputs = detail::pool_inputs(joined);
-    engine.run_stage(stage, detail::unpooled_body(), &plan);
-    ml_rows.resident = std::move(plan.out);
-  } else {
-    const DmGrid* grid_ptr = &grid;
-    ml_rows = flat_map_metered(
-        engine, joined,
-        [grid_ptr, &rapid_params](
-            const std::string& key,
-            const std::pair<std::string, std::optional<std::string>>& v,
-            std::size_t& cost)
-            -> std::vector<std::pair<std::string, std::string>> {
-          if (!v.second || v.second->empty() || v.first.empty()) return {};
-          return search_key(key, split_lines(v.first), *v.second, *grid_ptr,
-                            rapid_params, cost);
-        },
-        "search");
-  }
+  const StringRdd ml_rows = flat_map_metered(
+      engine, joined,
+      [](const std::string& key,
+         const std::pair<std::string, std::optional<std::string>>& v,
+         const SearchState& state, std::size_t& cost)
+          -> std::vector<std::pair<std::string, std::string>> {
+        if (!v.second || v.second->empty() || v.first.empty()) return {};
+        return search_key(key, split_lines(v.first), *v.second, state.grid,
+                          state.params, cost);
+      },
+      "search", SearchState{config.rapid, grid});
 
   // Collect, order deterministically, and write the ML file back.
   phase.emplace(engine.tracer(), "phase", "collect", "driver");

@@ -134,6 +134,43 @@ std::vector<std::pair<std::string, std::string>> run_pipeline(
   return out;
 }
 
+/// Both runs recorded the same stages, and every task the same work
+/// counters: the per-partition functions are shared between backends, so
+/// nothing but the execution venue may differ.
+void expect_same_task_metrics(const JobMetrics& local,
+                              const JobMetrics& process) {
+  ASSERT_EQ(local.stages.size(), process.stages.size());
+  for (std::size_t s = 0; s < local.stages.size(); ++s) {
+    const StageMetrics& a = local.stages[s];
+    const StageMetrics& b = process.stages[s];
+    ASSERT_EQ(a.name, b.name);
+    ASSERT_EQ(a.tasks.size(), b.tasks.size()) << a.name;
+    for (std::size_t t = 0; t < a.tasks.size(); ++t) {
+      SCOPED_TRACE(a.name + " task " + std::to_string(t));
+      const TaskMetrics& x = a.tasks[t];
+      const TaskMetrics& y = b.tasks[t];
+      EXPECT_EQ(x.records_in, y.records_in);
+      EXPECT_EQ(x.records_out, y.records_out);
+      EXPECT_EQ(x.bytes_in, y.bytes_in);
+      EXPECT_EQ(x.bytes_out, y.bytes_out);
+      EXPECT_EQ(x.compute_cost, y.compute_cost);
+      EXPECT_EQ(x.shuffle_bytes, y.shuffle_bytes);
+    }
+  }
+}
+
+/// The gbt350 job of FullPipelineMatchesLocalIncludingUnderWorkerKill.
+PipelineConfig gbt350_pipeline() {
+  PipelineConfig pipeline;
+  pipeline.survey = SurveyConfig::gbt350drift();
+  pipeline.survey.obs_length_s = 60.0;
+  pipeline.survey.noise_events_per_second = 10.0;
+  pipeline.num_observations = 4;
+  pipeline.visibility = 0.08;
+  pipeline.seed = 5;
+  return pipeline;
+}
+
 TEST(ProcessExecutor, EngineSelectsRequestedBackend) {
   Engine local(local_config());
   EXPECT_EQ(std::string(local.executor().name()), "local");
@@ -313,6 +350,63 @@ TEST(WorkerPoolMode, JobPoolMatchesLocalByteForByte) {
   }
   EXPECT_GT(reuses, 0u) << "later stages must reuse the forked workers";
   EXPECT_GT(resident, 0u) << "outputs must stay worker-resident";
+}
+
+TEST(WorkerPoolMode, ShufflePipelineTaskMetricsMatchLocal) {
+  DRAPID_REQUIRE_FORK();
+  Engine local(local_config());
+  run_pipeline(local);
+  Engine pooled(process_config(2));
+  run_pipeline(pooled);
+  expect_same_task_metrics(local.metrics(), pooled.metrics());
+}
+
+TEST(WorkerPoolMode, FullPipelineTaskMetricsMatchLocal) {
+  DRAPID_REQUIRE_FORK();
+  const auto run = [](ExecPolicy exec) {
+    EngineConfig cfg;
+    cfg.num_executors = 4;
+    cfg.exec = exec;
+    Engine engine(cfg);
+    BlockStore store(15);
+    run_full_pipeline(engine, store, gbt350_pipeline());
+    return engine.metrics();
+  };
+  const JobMetrics local = run(ExecPolicy::local(2));
+  const JobMetrics pooled = run(ExecPolicy::process(4, 2));
+  ASSERT_FALSE(local.stages.empty());
+  expect_same_task_metrics(local, pooled);
+}
+
+TEST(WorkerPoolMode, NonDefaultAggregateInitRunsInThePool) {
+  DRAPID_REQUIRE_FORK();
+  // The init value is stage state: it ships to the workers through the
+  // value codec, so even a non-default std::string init runs pooled.
+  const auto run = [](Engine& engine) {
+    const auto rdd = parallelize(engine, make_pairs(600), 8);
+    return aggregate_by_key(
+               engine, rdd, std::string{"seed:"},
+               [](std::string& agg, const std::string& v) { agg += v; },
+               [](std::string& agg, std::string&& other) { agg += other; },
+               HashPartitioner{16}, "agg")
+        .collect();
+  };
+  Engine local(local_config());
+  const auto expected = run(local);
+  Engine pooled(process_config(2));
+  const auto actual = run(pooled);
+  EXPECT_EQ(actual, expected);
+  ASSERT_FALSE(actual.empty());
+  for (const auto& [key, agg] : actual) {
+    EXPECT_EQ(agg.rfind("seed:", 0), 0u) << key;
+  }
+  const auto& stages = pooled.metrics().stages;
+  const auto combine = std::find_if(
+      stages.begin(), stages.end(),
+      [](const StageMetrics& s) { return s.name == "agg:combine"; });
+  ASSERT_NE(combine, stages.end());
+  EXPECT_GT(combine->ipc_bytes, 0u) << "the combine must run in the pool";
+  EXPECT_GT(combine->workers_used, 0u);
 }
 
 TEST(WorkerPoolMode, PoolForksOnceForTheWholeJob) {
@@ -509,13 +603,7 @@ TEST(ExecPolicy, WorkersDeriveFromContextWhenUnset) {
 // when a worker is killed mid-search.
 TEST(ProcessExecutor, FullPipelineMatchesLocalIncludingUnderWorkerKill) {
   DRAPID_REQUIRE_FORK();
-  PipelineConfig pipeline;
-  pipeline.survey = SurveyConfig::gbt350drift();
-  pipeline.survey.obs_length_s = 60.0;
-  pipeline.survey.noise_events_per_second = 10.0;
-  pipeline.num_observations = 4;
-  pipeline.visibility = 0.08;
-  pipeline.seed = 5;
+  const PipelineConfig pipeline = gbt350_pipeline();
 
   const auto run = [&pipeline](EngineConfig cfg) {
     Engine engine(cfg);

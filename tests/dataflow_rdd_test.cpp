@@ -206,6 +206,25 @@ TEST(ReduceByKey, MaxPerKey) {
   EXPECT_EQ(actual, expected);
 }
 
+TEST(ClosureRule, OnlyCapturelessLambdasQualify) {
+  // Pool workers rebuild a transformation's closure as Fn{}, so the closure
+  // trait must reject every capture mode and admit the captureless lambda.
+  int offset = 3;
+  int* ptr = &offset;
+  auto by_pointer = [ptr](int x) { return x + *ptr; };
+  auto by_reference = [&offset](int x) { return x + offset; };
+  auto by_value = [offset](int x) { return x + offset; };
+  auto captureless = [](int x) { return x + 3; };
+  static_assert(!captureless_closure_v<decltype(by_pointer)>);
+  static_assert(!captureless_closure_v<decltype(by_reference)>);
+  static_assert(!captureless_closure_v<decltype(by_value)>);
+  static_assert(captureless_closure_v<decltype(captureless)>);
+  // The worker-side rebuild computes what the caller's object computes.
+  EXPECT_EQ(decltype(captureless){}(1), captureless(1));
+  EXPECT_EQ(by_pointer(1), by_value(1));
+  EXPECT_EQ(by_reference(1), captureless(1));
+}
+
 TEST(LeftOuterJoin, MatchesReferenceSemantics) {
   Engine engine(test_config());
   std::vector<std::pair<std::string, int>> left_pairs{

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# CI entry point: full build + ctest, then a ThreadSanitizer pass over the
-# concurrency-heavy suites — the thread pool's helping parallel_for join,
-# the engine's mutex-protected stage registry, concurrent spill I/O, the
-# span tracer's per-thread buffers, and the survey service's single-writer/
-# many-reader archive — the places a data race would live.
+# CI entry point: full build + ctest, then the full ctest suite again under
+# AddressSanitizer + UndefinedBehaviorSanitizer (the `asan` preset), then a
+# ThreadSanitizer pass over the concurrency-heavy suites — the thread pool's
+# helping parallel_for join, the engine's mutex-protected stage registry,
+# concurrent spill I/O, the span tracer's per-thread buffers, and the
+# survey service's single-writer/many-reader archive — the places a data
+# race would live.
 #
 # Usage: tools/check.sh [tsan-build-dir]   (default: build-tsan)
-# Set DRAPID_SKIP_TSAN=1 to stop after the regular build + ctest.
+# Set DRAPID_SKIP_ASAN=1 to skip the ASan+UBSan pass (CI runs it as its own
+# job) and DRAPID_SKIP_TSAN=1 to skip the TSan pass.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,8 +45,18 @@ if [[ "${DRAPID_BENCH_CHECK:-0}" == "1" ]]; then
   fi
 fi
 
+if [[ "${DRAPID_SKIP_ASAN:-0}" != "1" ]]; then
+  # Every ctest case, fork-based pool suites included: halt_on_error turns
+  # the first heap error or undefined-behaviour report into a failed test.
+  # The asan test preset sets ASAN_OPTIONS/UBSAN_OPTIONS accordingly.
+  echo "=== ctest under ASan + UBSan (build-asan) ==="
+  cmake --preset asan
+  cmake --build --preset asan -j "$(nproc)"
+  ctest --preset asan -j "$(nproc)"
+fi
+
 if [[ "${DRAPID_SKIP_TSAN:-0}" == "1" ]]; then
-  echo "check: build + ctest clean (TSan pass skipped)"
+  echo "check: build + ctest (+ asan) clean (TSan pass skipped)"
   exit 0
 fi
 
@@ -83,4 +96,4 @@ for test in "${TSAN_TARGETS[@]}"; do
   echo "=== $test (TSan) ==="
   "$TSAN_BUILD_DIR/tests/$test"
 done
-echo "check: build + ctest + tsan all clean"
+echo "check: build + ctest + asan + tsan all clean"
