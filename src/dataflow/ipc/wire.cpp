@@ -128,15 +128,4 @@ DecodeStatus try_decode_frame(const char* data, std::size_t size,
   return DecodeStatus::kOk;
 }
 
-DecodeStatus try_decode_frame(const char* data, std::size_t size,
-                              TaskFrame& out, std::size_t& consumed) {
-  FrameView view;
-  const DecodeStatus status = try_decode_frame(data, size, view, consumed);
-  if (status == DecodeStatus::kOk) {
-    static_cast<FrameHeader&>(out) = view;
-    out.payload.assign(view.payload, view.payload_size);
-  }
-  return status;
-}
-
 }  // namespace drapid::ipc

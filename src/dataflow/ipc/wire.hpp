@@ -130,9 +130,6 @@ FrameParts encode_frame_parts(const FrameHeader& frame, const FrameSpan* spans,
 /// size; otherwise leaves both untouched.
 DecodeStatus try_decode_frame(const char* data, std::size_t size,
                               FrameView& out, std::size_t& consumed);
-/// Same, with the payload copied into `out.payload`.
-DecodeStatus try_decode_frame(const char* data, std::size_t size,
-                              TaskFrame& out, std::size_t& consumed);
 
 // ---------------------------------------------------------------------------
 // Value codecs: the vocabulary pool kernels and frame payloads are built

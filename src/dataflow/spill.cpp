@@ -4,37 +4,24 @@
 #include <filesystem>
 #include <fstream>
 
+#include "dataflow/ipc/wire.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "util/checksum.hpp"
+#include "util/sealed_file.hpp"
 
 namespace drapid {
 
 namespace {
 
-/// Spill file layout: magic, record count, (klen, k, vlen, v)*, checksum.
-/// The trailing checksum covers everything between magic and itself, so any
-/// flipped byte — count, a length prefix, or payload — fails validation.
-/// The checksum (util/checksum.hpp) is shared with the wire frames and the
-/// candidate-archive segment format. The magic's version digit names the
-/// checksum, so a file from another version fails on its magic.
+/// A spill file is a sealed file (util/sealed_file.hpp) whose body is the
+/// partition in the wire codec: the record count, then each key and value
+/// as a u64 length and its bytes. The magic's version digit names the
+/// container's checksum, so a file from another version fails on its magic.
 constexpr std::uint64_t kSpillMagic = 0x3253504C4C495244ULL;  // "DRILLPS2"
-constexpr std::size_t kHeaderBytes = 16;   // magic + count
-constexpr std::size_t kTrailerBytes = 8;   // checksum
-
-std::uint64_t read_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-
-[[noreturn]] void spill_fail(const std::string& file, const std::string& why) {
-  throw SpillError("spill file " + file + ": " + why);
-}
 
 /// Damages a freshly-written spill file per the injected fault: flips one
-/// byte past the magic (detected by length validation or the checksum) or
-/// deletes the file outright.
+/// byte past the magic (detected by the checksum) or deletes the file
+/// outright.
 void apply_spill_fault(const std::string& path, SpillFault fault) {
   namespace fs = std::filesystem;
   if (fault == SpillFault::kLose) {
@@ -95,37 +82,16 @@ CachedStringRdd::CachedStringRdd(Engine& engine, StringRdd rdd,
 std::string CachedStringRdd::write_partition(
     const std::vector<StringRdd::Pair>& records, TaskMetrics& task) const {
   const std::string path = engine_.next_spill_path();
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw SpillError("cannot open spill file " + path);
-  // Serialize the whole partition into one contiguous buffer and hand the
-  // stream a single write, instead of four tiny writes per record that each
-  // pay the stream's put-area bookkeeping. The byte layout (and therefore
-  // the checksum and the read path) is unchanged.
-  std::size_t payload = 0;
-  for (const auto& [k, v] : records) payload += k.size() + v.size() + 16;
-  std::string buffer;
-  buffer.reserve(kHeaderBytes + payload + kTrailerBytes);
-  const auto append_u64 = [&buffer](std::uint64_t v) {
-    buffer.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  append_u64(kSpillMagic);
-  append_u64(records.size());
-  for (const auto& [k, v] : records) {
-    append_u64(k.size());
-    buffer.append(k);
-    append_u64(v.size());
-    buffer.append(v);
+  try {
+    write_sealed(path, kSpillMagic, ipc::encode_payload(records));
+  } catch (const SealedFileError& e) {
+    throw SpillError("spill file " + path + ": " + e.what());
   }
-  task.spill_bytes += payload;
-  // The checksum streams over exactly the bytes between the magic and
-  // itself, so digesting the assembled buffer once equals the reader's
-  // field-by-field digest.
-  Checksum sum;
-  sum.update(buffer.data() + sizeof(kSpillMagic),
-             buffer.size() - sizeof(kSpillMagic));
-  append_u64(sum.digest());
-  out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  if (!out) throw SpillError("spill write failed: " + path);
+  // Spill traffic is a record's bytes plus its two length words, the same
+  // on the write and the read side.
+  for (const auto& [k, v] : records) {
+    task.spill_bytes += k.size() + v.size() + 16;
+  }
   return path;
 }
 
@@ -133,63 +99,14 @@ void CachedStringRdd::read_partition(std::size_t p,
                                      std::vector<StringRdd::Pair>& out,
                                      TaskMetrics& task) const {
   const std::string& file = files_[p];
-  std::ifstream in(file, std::ios::binary);
-  if (!in) spill_fail(file, "missing or unreadable (lost replica?)");
-  std::error_code ec;
-  const auto file_size =
-      static_cast<std::size_t>(std::filesystem::file_size(file, ec));
-  if (ec) spill_fail(file, "cannot stat: " + ec.message());
-  if (file_size < kHeaderBytes + kTrailerBytes) {
-    spill_fail(file, "truncated: " + std::to_string(file_size) +
-                         " bytes is smaller than header + checksum");
+  try {
+    out = ipc::decode_payload<StringRdd::Pair>(read_sealed(file, kSpillMagic));
+  } catch (const std::runtime_error& e) {
+    throw SpillError("spill file " + file + ": " + e.what());
   }
-  if (read_u64(in) != kSpillMagic) {
-    spill_fail(file, "bad header magic (not a spill file, or corrupted)");
-  }
-  // Bytes between the count prefix we are about to read and the trailing
-  // checksum; every length prefix is validated against it so a corrupt
-  // prefix cannot trigger a multi-GB allocation or a silent short read.
-  std::size_t remaining = file_size - 8 - kTrailerBytes;
-  const std::uint64_t count = read_u64(in);
-  remaining -= 8;
-  Checksum checksum;
-  checksum.update_u64(count);
-  if (count > remaining / 16) {
-    spill_fail(file, "record count " + std::to_string(count) +
-                         " impossible for " + std::to_string(remaining) +
-                         " payload bytes");
-  }
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto read_string = [&](const char* what) {
-      if (remaining < 8) spill_fail(file, std::string(what) + ": truncated");
-      const std::uint64_t len = read_u64(in);
-      remaining -= 8;
-      if (len > remaining) {
-        spill_fail(file, std::string(what) + " length " + std::to_string(len) +
-                             " exceeds the " + std::to_string(remaining) +
-                             " bytes left in the file");
-      }
-      std::string s(len, '\0');
-      in.read(s.data(), static_cast<std::streamsize>(len));
-      remaining -= len;
-      checksum.update_u64(len);
-      checksum.update(s.data(), s.size());
-      return s;
-    };
-    std::string k = read_string("record key");
-    std::string v = read_string("record value");
+  for (const auto& [k, v] : out) {
     task.spill_bytes += k.size() + v.size() + 16;
-    out.emplace_back(std::move(k), std::move(v));
   }
-  if (remaining != 0) {
-    spill_fail(file, std::to_string(remaining) +
-                         " unexpected trailing payload bytes");
-  }
-  if (read_u64(in) != checksum.digest()) {
-    spill_fail(file, "checksum mismatch (corrupted on disk)");
-  }
-  if (!in) spill_fail(file, "read failed");
   task.records_out = out.size();
 }
 

@@ -8,10 +8,11 @@
 // access. The written and re-read bytes are recorded in the job metrics,
 // which is what the cluster cost model prices as disk traffic.
 //
-// Integrity + lineage: each spill file carries a header magic and a
-// per-partition checksum, and every record length is validated against the
-// remaining file size, so truncation or corruption is detected instead of
-// silently yielding garbage (or a multi-GB allocation). When a damaged or
+// Integrity + lineage: each spill file is a sealed file
+// (util/sealed_file.hpp) — a header magic, the partition in the wire codec,
+// and a checksum over it that is verified before any record length is
+// trusted — so truncation or corruption is detected instead of silently
+// yielding garbage (or a multi-GB allocation). When a damaged or
 // missing file is detected on materialize and a producer closure was
 // recorded at construction, the lost partition is *recomputed from lineage*
 // — Spark's recovery story — and re-spilled; without a producer, a
@@ -28,8 +29,8 @@
 
 namespace drapid {
 
-/// A spill file failed validation (bad magic, impossible record length,
-/// truncation, checksum mismatch) or could not be opened.
+/// A spill file failed validation (bad magic, truncation, checksum
+/// mismatch, a malformed body) or could not be opened or written.
 struct SpillError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -64,7 +65,7 @@ class CachedStringRdd {
   const StringRdd& borrow();
 
  private:
-  /// Reads one spill file into `out`, validating format and checksum.
+  /// Reads one spill file into `out`, validating checksum and format.
   void read_partition(std::size_t p, std::vector<StringRdd::Pair>& out,
                       TaskMetrics& task) const;
   /// Writes partition `p` of `rdd` to a fresh spill file, returns its path.

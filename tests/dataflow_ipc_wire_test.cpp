@@ -18,6 +18,19 @@
 namespace drapid::ipc {
 namespace {
 
+/// try_decode_frame with the payload copied out of the receive buffer, so a
+/// decoded frame outlives the bytes it came from.
+DecodeStatus try_decode_frame(const char* data, std::size_t size,
+                              TaskFrame& out, std::size_t& consumed) {
+  FrameView view;
+  const DecodeStatus status = ipc::try_decode_frame(data, size, view, consumed);
+  if (status == DecodeStatus::kOk) {
+    static_cast<FrameHeader&>(out) = view;
+    out.payload.assign(view.payload, view.payload_size);
+  }
+  return status;
+}
+
 TaskFrame sample_frame() {
   TaskFrame frame;
   frame.kind = FrameKind::kResult;

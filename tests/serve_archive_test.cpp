@@ -12,6 +12,7 @@
 #include "obs/counters.hpp"
 #include "serve/archive.hpp"
 #include "serve/segment.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace drapid {
@@ -157,6 +158,44 @@ TEST(SegmentFile, RejectsTruncation) {
     std::ofstream(path, std::ios::binary).write(good.data(), keep);
     EXPECT_THROW(read_segment_file(path), ArchiveError) << "kept " << keep;
   }
+}
+
+TEST(SegmentFile, BytesMatchPinnedDigest) {
+  // The segment layout is an on-disk format: archives written by one build
+  // must open in the next. This size and digest were recorded from the
+  // writer that predates the shared sealed-file container.
+  TempDir dir;
+  std::vector<CandidateRecord> records(3);
+  for (int i = 0; i < 3; ++i) {
+    auto& rec = records[static_cast<std::size_t>(i)];
+    rec.obs = obs_id(i);
+    rec.event.dm = 12.5 + 100.0 * i;
+    rec.event.snr = 6.25 + i;
+    rec.event.time_s = 0.125 * (i + 1);
+    rec.event.sample = 1000 * (i + 1);
+    rec.event.downfact = 1 << i;
+  }
+  const std::string path = (dir.path / "pinned.seg").string();
+  write_segment_file(path, records);
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  Checksum sum;
+  sum.update(bytes.data(), bytes.size());
+  EXPECT_EQ(bytes.size(), 231u);
+  EXPECT_EQ(sum.digest(), 0xE69E6B7DF1B552BBULL);
+  EXPECT_EQ(bytes.substr(0, 8), "DRASSEG2");
+  EXPECT_EQ(read_segment_file(path), records);
+}
+
+TEST(SegmentFile, FullDiskFailsTheWrite) {
+  // A one-record segment fits in the stream's buffer, so the write itself
+  // succeeds and only the final flush hits the full device: that failure
+  // must surface, not be dropped in the stream's destructor.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Rng rng(6);
+  EXPECT_THROW(write_segment_file("/dev/full", {make_record(rng, 0)}),
+               ArchiveError);
 }
 
 TEST(Archive, AppendSealQueryAndReopen) {
