@@ -1,27 +1,21 @@
 // Multi-beam coincidence rejection: hand-built pointings with known
 // coincident/unique events, cell-edge straddling via the 3×3 neighbourhood,
-// parameter validation, the archive-level serve wrapper, and an end-to-end
-// precision/recall run over a simulated multi-beam pointing.
+// parameter validation, and an end-to-end precision/recall run over a
+// simulated multi-beam pointing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
-#include <filesystem>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "clustering/coincidence.hpp"
-#include "serve/archive.hpp"
-#include "serve/coincidence.hpp"
 #include "spe/dm_grid.hpp"
 #include "synth/survey.hpp"
 
 namespace drapid {
 namespace {
-
-namespace fs = std::filesystem;
 
 DmGrid unit_grid() { return DmGrid({{0.0, 200.0, 1.0}}); }
 
@@ -149,47 +143,6 @@ TEST(Coincidence, RejectsMoreThan64Beams) {
   std::vector<ObservationData> beams(65);
   for (int b = 0; b < 65; ++b) beams[b].id = beam_id(b);
   EXPECT_THROW(coincidence_reject(views(beams), grid), std::invalid_argument);
-}
-
-// --- archive-level wrapper ---------------------------------------------------
-
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    const auto* info = testing::UnitTest::GetInstance()->current_test_info();
-    path = fs::temp_directory_path() /
-           (std::string("drapid_coinc_") + info->test_suite_name() + "_" +
-            info->name());
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string str() const { return path.string(); }
-};
-
-TEST(ServeCoincidence, RejectsAcrossArchivedBeams) {
-  TempDir dir;
-  serve::CandidateArchive archive(dir.str());
-  const DmGrid grid = unit_grid();
-  const std::vector<ObservationId> beams = {beam_id(0), beam_id(1),
-                                            beam_id(2)};
-  for (int b = 0; b < 3; ++b) {
-    archive.append(beams[b], event_at(50.0, 10.0));  // sidelobe RFI
-    archive.append(beams[b], event_at(20.0 + 50.0 * b, 60.0));  // unique
-  }
-  archive.seal();
-  const serve::MultiBeamFilterResult result =
-      serve::reject_multibeam_rfi(archive, beams, grid);
-  EXPECT_EQ(result.num_candidates, 6u);
-  EXPECT_EQ(result.num_rejected, 3u);
-  ASSERT_EQ(result.kept.size(), 3u);
-  for (int b = 0; b < 3; ++b) {
-    ASSERT_EQ(result.kept[b].size(), 1u) << "beam " << b;
-    EXPECT_EQ(result.kept[b][0].event.dm, 20.0 + 50.0 * b);
-  }
 }
 
 // --- end-to-end on a simulated multi-beam pointing --------------------------
