@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include "dataflow/ipc/process_executor.hpp"
 #include "util/text_table.hpp"
@@ -16,6 +17,22 @@ std::size_t sum_tasks(const StageMetrics& stage,
   std::size_t total = 0;
   for (const auto& t : stage.tasks) total += t.*field;
   return total;
+}
+
+/// A modeled cluster without executors, cores or partitions per core has
+/// default_partitions() == 0, and a partitioner over 0 targets has nowhere
+/// to route a record.
+const EngineConfig& checked(const EngineConfig& config) {
+  if (config.num_executors == 0 || config.cores_per_executor == 0 ||
+      config.partitions_per_core == 0) {
+    throw std::invalid_argument(
+        "engine config needs at least one executor, core per executor and "
+        "partition per core (got " +
+        std::to_string(config.num_executors) + ", " +
+        std::to_string(config.cores_per_executor) + ", " +
+        std::to_string(config.partitions_per_core) + ")");
+  }
+  return config;
 }
 }  // namespace
 
@@ -107,7 +124,7 @@ std::string JobMetrics::summary() const {
 }
 
 Engine::Engine(EngineConfig config)
-    : config_(config),
+    : config_(checked(config)),
       pool_(config.exec.threads_per_worker),
       faults_(config.faults),
       tracer_(config.tracer ? *config.tracer : obs::global_tracer()),

@@ -55,8 +55,6 @@ struct PoolTaskCtx {
   /// data-plane kernels use ipc::encode_payload, the load kernel raw text).
   std::vector<const std::string*> inputs;
   TaskMetrics* metrics = nullptr;
-  /// Wide kernels: output partition count to route into.
-  std::size_t num_targets = 0;
 };
 
 /// A pooled stage kernel: consumes the ctx inputs, fills ctx.metrics exactly
@@ -73,7 +71,6 @@ class PoolRegistryCore;
 /// worker-side bytes (through the registry, if it still exists).
 struct PoolSet {
   std::uint64_t id = 0;
-  std::size_t partitions = 0;
   std::weak_ptr<PoolRegistryCore> core;
   std::vector<std::shared_ptr<PoolSet>> upstream;
   ~PoolSet();
@@ -84,8 +81,10 @@ struct PoolSet {
 /// (collect() on a resident Rdd), as long as the producing engine is alive.
 std::string pool_fetch(const std::shared_ptr<PoolSet>& set,
                        std::size_t partition);
-/// Total resident payload bytes of the set (estimate for memory budgeting).
-std::size_t pool_set_bytes(const std::shared_ptr<PoolSet>& set);
+/// The set's in-memory size estimate: the bytes_out its producing tasks
+/// reported (byte_size over their output records), summed as results arrived.
+/// Moves no bytes; 0 once the producing engine is gone.
+std::size_t pool_set_estimated_bytes(const std::shared_ptr<PoolSet>& set);
 /// Records-out count of one partition as reported by the producing task.
 std::size_t pool_set_records(const std::shared_ptr<PoolSet>& set,
                              std::size_t partition);
@@ -107,6 +106,7 @@ struct PoolStagePlan {
   PoolKernelFn kernel = nullptr;
   std::string state;  ///< handed to every task as PoolTaskCtx::state
   /// Wide stages: output partition count (narrow: outputs mirror tasks).
+  /// The pool cannot read it from the opaque stage state.
   std::size_t num_targets = 0;
   /// Called once per task at dispatch to name its input partitions.
   std::function<std::vector<PoolInputRef>(std::size_t task)> inputs;

@@ -62,13 +62,14 @@ bool write_all(int fd, const char* data, std::size_t size) {
 }
 
 // ---------------------------------------------------------------------------
-// Wide-stage segment bundles. A wide kernel returns its routed output as
+// Wide-stage segment bundles. A wide kernel (detail::route_kernel) returns
+// its routed output as
 //   u64 num_targets, then per target: u64 record_count, u64 seg_size, bytes
 // where the segment bytes are the target's records encoded back to back
-// (no count prefix). Owners assemble a target partition as
+// (no count prefix). A target partition is assembled (TargetAssembly) as
 //   u64 total_count + concat(segments in source order)
 // which is byte-identical to ipc::encode_payload of the same records — the
-// exact layout the local backend's placement pass produces.
+// layout the local backend gives the same runs.
 
 struct BundleSeg {
   std::uint64_t count = 0;
@@ -90,6 +91,26 @@ std::vector<BundleSeg> parse_bundle(const std::string& bundle) {
   return segs;
 }
 
+/// One wide target partition, assembled from its segments added in source
+/// order: by the owning worker at kStageEnd and by a lineage rebuild alike.
+class TargetAssembly {
+ public:
+  void add(std::uint64_t count, const char* data, std::size_t size) {
+    records_ += count;
+    bytes_.append(data, size);
+  }
+  std::uint64_t records() const { return records_; }
+  /// The resident partition bytes; the assembly is spent afterwards.
+  std::string take() {
+    std::memcpy(bytes_.data(), &records_, sizeof(records_));
+    return std::move(bytes_);
+  }
+
+ private:
+  std::string bytes_ = std::string(sizeof(std::uint64_t), '\0');
+  std::uint64_t records_ = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Child side. Runs in the forked worker only; communicates exclusively over
 // its socket. Never returns, never calls exit() — _exit() skips atexit
@@ -101,7 +122,6 @@ struct ChildStage {
   PoolKernelFn kernel = nullptr;
   std::string state;
   std::uint64_t out_set = 0;
-  std::size_t num_targets = 0;
   std::size_t nworkers = 1;
   std::size_t max_attempts = 1;
 };
@@ -185,7 +205,6 @@ void child_handle_stage_begin(ChildState& st, const FrameView& frame) {
   s.kernel = reinterpret_cast<PoolKernelFn>(
       static_cast<std::uintptr_t>(r.get_u64()));
   s.out_set = r.get_u64();
-  s.num_targets = static_cast<std::size_t>(r.get_u64());
   s.nworkers = static_cast<std::size_t>(r.get_u64());
   s.max_attempts = static_cast<std::size_t>(r.get_u64());
   ipc::decode_value(r, s.name);
@@ -236,7 +255,6 @@ void child_handle_assign(ChildState& st, const FrameView& frame) {
     ctx.state = &stage.state;
     ctx.inputs = inputs;
     ctx.metrics = &task;
-    ctx.num_targets = stage.num_targets;
     for (std::size_t attempt = attempt_base;; ++attempt) {
       task.attempts = attempt + 1;
       if (st.faults->fail_task(stage.name, p, attempt)) {
@@ -325,42 +343,35 @@ void child_handle_push(ChildState& st, const FrameView& frame) {
       count, std::string(data, static_cast<std::size_t>(size))};
 }
 
+/// The stage's own kStageBegin named its set and kind; the frame lists the
+/// wide targets this worker assembles (none for a narrow stage).
 void child_handle_stage_end(ChildState& st, const FrameView& frame) {
   WireReader r(frame.payload, frame.payload_size);
-  const std::uint64_t set = r.get_u64();
-  const bool wide = r.get_u64() != 0;
+  const std::uint64_t set = st.stage.out_set;
   TaskFrame ack;
   ack.kind = FrameKind::kAck;
   WireWriter w;
-  w.put_u64(set);
-  if (!wide) {
-    w.put_u64(0);
-    ack.payload = w.take();
-    if (!child_send(st, ack)) ::_exit(1);
-    return;
-  }
   const std::uint64_t nassemble = r.get_u64();
   w.put_u64(nassemble);
   auto& staged = st.staging[set];
   for (std::uint64_t i = 0; i < nassemble; ++i) {
     const std::uint64_t t = r.get_u64();
-    std::uint64_t total = 0;
-    std::string assembled(sizeof(std::uint64_t), '\0');
-    std::uint64_t records = 0;
+    TargetAssembly assembly;
     const auto lo = staged.lower_bound({t, 0});
     const auto hi = staged.lower_bound({t + 1, 0});
     for (auto it = lo; it != hi; ++it) {
-      total += it->second.first;
-      assembled.append(it->second.second);
+      const auto& [count, bytes] = it->second;
+      assembly.add(count, bytes.data(), bytes.size());
     }
     staged.erase(lo, hi);
-    std::memcpy(assembled.data(), &total, sizeof(total));
-    records = total;
+    const std::uint64_t records = assembly.records();
+    std::string& assembled = st.resident[set][t] = assembly.take();
     w.put_u64(t);
     w.put_u64(assembled.size());
     w.put_u64(records);
-    st.resident[set][t] = std::move(assembled);
   }
+  // Whatever is left was staged for targets the parent rebuilds instead.
+  st.staging.erase(set);
   ack.payload = w.take();
   if (!child_send(st, ack)) ::_exit(1);
 }
@@ -519,9 +530,9 @@ std::string pool_fetch(const std::shared_ptr<PoolSet>& set,
   return core->fetch(set->id, partition);
 }
 
-std::size_t pool_set_bytes(const std::shared_ptr<PoolSet>& set) {
+std::size_t pool_set_estimated_bytes(const std::shared_ptr<PoolSet>& set) {
   auto core = set ? set->core.lock() : nullptr;
-  return core ? core->set_bytes(set->id) : 0;
+  return core ? core->set_estimated_bytes(set->id) : 0;
 }
 
 std::size_t pool_set_records(const std::shared_ptr<PoolSet>& set,
@@ -582,11 +593,10 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
     ctx.metrics = &scratch;
     built = s.kernel(ctx);
   } else {
-    // Wide target: re-run every source's routing kernel and take segment
-    // `partition` from each bundle, concatenated in source order — the same
-    // layout the owning worker would have assembled.
-    std::uint64_t total = 0;
-    built.assign(sizeof(std::uint64_t), '\0');
+    // Wide target: re-run every source's routing kernel and assemble
+    // segment `partition` of each bundle, in source order, exactly as the
+    // owning worker would have.
+    TargetAssembly assembly;
     for (std::size_t src = 0; src < s.task_inputs.size(); ++src) {
       const auto& refs = s.task_inputs.at(src);
       std::string fetched;
@@ -595,27 +605,21 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
       ctx.state = &s.state;
       ctx.inputs.push_back(input_bytes(refs.at(0), fetched));
       ctx.metrics = &scratch;
-      ctx.num_targets = s.parts.size();
       const std::string bundle = s.kernel(ctx);
-      const std::vector<BundleSeg> segs = parse_bundle(bundle);
-      const BundleSeg& seg = segs.at(partition);
-      total += seg.count;
-      built.append(seg.data, seg.size);
+      const BundleSeg seg = parse_bundle(bundle).at(partition);
+      assembly.add(seg.count, seg.data, seg.size);
     }
-    std::memcpy(built.data(), &total, sizeof(total));
-    part.records = static_cast<std::size_t>(total);
+    part.records = static_cast<std::size_t>(assembly.records());
+    built = assembly.take();
   }
   part.parent_bytes = std::move(built);
   part.bytes = part.parent_bytes.size();
   return part.parent_bytes;
 }
 
-std::size_t PoolRegistryCore::set_bytes(std::uint64_t set) const {
+std::size_t PoolRegistryCore::set_estimated_bytes(std::uint64_t set) const {
   const auto it = sets_.find(set);
-  if (it == sets_.end()) return 0;
-  std::size_t total = 0;
-  for (const auto& part : it->second.parts) total += part.bytes;
-  return total;
+  return it == sets_.end() ? 0 : it->second.estimated_bytes;
 }
 
 std::size_t PoolRegistryCore::set_records(std::uint64_t set,
@@ -979,6 +983,7 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const FrameView& frame,
       }
       ctx.stage.tasks[p] = frame.metrics;
       ctx.stage.tasks[p].partition = p;
+      ctx.out_state->estimated_bytes += frame.metrics.bytes_out;
       engine_.tasks_counter_.add();
       // attempts = 1 clean run + death-charged attempts + injected kills
       // the child drew; credit the injected share to the retry counter
@@ -1025,7 +1030,6 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const FrameView& frame,
       }
       StageCtx& ctx = *ctx_;
       ipc::WireReader r(frame.payload, frame.payload_size);
-      r.get_u64();  // set
       const std::uint64_t n = r.get_u64();
       for (std::uint64_t i = 0; i < n; ++i) {
         const std::uint64_t t = r.get_u64();
@@ -1102,7 +1106,6 @@ void WorkerPool::send_stage_begin(PoolWorker& w) {
   pw.put_u64(static_cast<std::uint64_t>(
       reinterpret_cast<std::uintptr_t>(ctx.plan.kernel)));
   pw.put_u64(ctx.out_set);
-  pw.put_u64(ctx.plan.num_targets);
   pw.put_u64(nworkers_);
   pw.put_u64(ctx.max_attempts);
   ipc::encode_value(pw, ctx.stage.name);
@@ -1170,22 +1173,18 @@ void WorkerPool::send_stage_end(PoolWorker& w) {
   StageCtx& ctx = *ctx_;
   ipc::TaskFrame frame;
   frame.kind = FrameKind::kStageEnd;
-  WireWriter pw;
-  pw.put_u64(ctx.out_set);
-  pw.put_u64(ctx.wide ? 1 : 0);
-  if (ctx.wide) {
-    // Owned targets to assemble — but only for a slot whose incarnation
-    // survived the whole stage; a replacement is missing segments relayed
-    // to its predecessor, so its targets fall to the parent rebuild path.
-    std::vector<std::uint64_t> targets;
-    if (ctx.stage_deaths[w.slot] == 0) {
-      for (std::size_t t = w.slot; t < ctx.nparts; t += nworkers_) {
-        targets.push_back(t);
-      }
+  // Owned wide targets to assemble — but only for a slot whose incarnation
+  // survived the whole stage; a replacement is missing segments relayed to
+  // its predecessor, so its targets fall to the parent rebuild path.
+  std::vector<std::uint64_t> targets;
+  if (ctx.wide && ctx.stage_deaths[w.slot] == 0) {
+    for (std::size_t t = w.slot; t < ctx.nparts; t += nworkers_) {
+      targets.push_back(t);
     }
-    pw.put_u64(targets.size());
-    for (const std::uint64_t t : targets) pw.put_u64(t);
   }
+  WireWriter pw;
+  pw.put_u64(targets.size());
+  for (const std::uint64_t t : targets) pw.put_u64(t);
   frame.payload = pw.take();
   enqueue(w, ipc::encode_frame(frame));
 }
@@ -1240,7 +1239,6 @@ void WorkerPool::run_pooled_stage(StageRun run) {
   out.kind = plan.kind;
   out.kernel = plan.kernel;
   out.state = plan.state;
-  out.num_targets = plan.num_targets;
   out.task_inputs.resize(ctx.ntasks);
   out.parts.resize(ctx.nparts);
   ctx.out_state = &out;
@@ -1330,7 +1328,6 @@ void WorkerPool::run_pooled_stage(StageRun run) {
 
   auto handle = std::make_shared<PoolSet>();
   handle->id = ctx.out_set;
-  handle->partitions = ctx.nparts;
   handle->core = core_;
   handle->upstream = std::move(upstream);
   plan.out = std::move(handle);

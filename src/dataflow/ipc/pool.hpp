@@ -20,14 +20,15 @@
 // frames, not data.
 //
 // Wide stages (partition_by) shuffle worker-to-worker, parent-brokered: each
-// source task routes its records into per-target segments, keeps segments
-// whose target it owns (target % workers == slot), and pushes the rest as
-// kShufflePush frames that the parent relays verbatim to the owning worker.
-// At kStageEnd each owner concatenates its staged segments in source order —
-// byte-identical to the local backend's placement pass — and keeps the result
-// resident. Per-socket FIFO ordering makes the barrier trivial: a relayed
-// push always arrives before the kStageEnd that follows it on the same
-// socket.
+// source task runs the one routing function (detail::RoutePartition in
+// dataflow/rdd.hpp, the local backend's body too) and encodes its per-target
+// runs as segments, keeps segments whose target it owns (target % workers ==
+// slot), and pushes the rest as kShufflePush frames that the parent relays
+// verbatim to the owning worker. At kStageEnd each owner concatenates its
+// staged segments in source order and keeps the result resident; a lineage
+// rebuild of a lost target assembles it with the same routine. Per-socket
+// FIFO ordering makes the barrier trivial: a relayed push always arrives
+// before the kStageEnd that follows it on the same socket.
 //
 // Failure model: worker death (EOF / corrupt frame) charges one attempt to
 // each unfinished task it held — identical accounting to an injected task
@@ -86,9 +87,10 @@ struct SetState {
   PoolStagePlan::Kind kind = PoolStagePlan::Kind::kNarrow;
   PoolKernelFn kernel = nullptr;
   std::string state;
-  std::size_t num_targets = 0;  ///< wide only
   std::vector<std::vector<StoredInput>> task_inputs;  ///< per task / source
   std::vector<PartState> parts;
+  /// Sum of the producing tasks' bytes_out (Rdd::estimated_bytes).
+  std::size_t estimated_bytes = 0;
 };
 
 /// One piece of a queued outgoing frame: small header/meta bytes the queue
@@ -133,7 +135,7 @@ class PoolRegistryCore {
  public:
   /// Fetches partition bytes: parent copy, live worker, or lineage rebuild.
   std::string fetch(std::uint64_t set, std::size_t partition);
-  std::size_t set_bytes(std::uint64_t set) const;
+  std::size_t set_estimated_bytes(std::uint64_t set) const;
   std::size_t set_records(std::uint64_t set, std::size_t partition) const;
   /// Drops a set (from a PoolSet destructor); notifies workers.
   void release(std::uint64_t set);

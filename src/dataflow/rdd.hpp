@@ -24,6 +24,8 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -166,17 +168,11 @@ struct Rdd {
     return total;
   }
   std::size_t estimated_bytes() const {
-    // Resident sets are decoded to run the exact same byte_size estimator
-    // the local backend uses: this number feeds cache/spill decisions that
-    // must not diverge between backends.
-    if (resident) {
-      std::size_t total = 0;
-      for (std::size_t p = 0; p < partitions.size(); ++p) {
-        const auto part = ipc::decode_payload<Pair>(pool_fetch(resident, p));
-        for (const auto& kv : part) total += byte_size(kv);
-      }
-      return total;
-    }
+    // A resident set answers from the bytes_out its producing tasks
+    // reported: the same byte_size estimator over the same output records
+    // the local backend walks here, so cache/spill decisions cannot diverge
+    // between backends, and no partition leaves the workers for it.
+    if (resident) return pool_set_estimated_bytes(resident);
     std::size_t total = 0;
     for (const auto& p : partitions) {
       for (const auto& kv : p) total += byte_size(kv);
@@ -222,8 +218,13 @@ void ensure_local(Rdd<K, V>& rdd) {
 // a stage on either backend. Locally each task calls it on partitions[p]; on
 // the process backend the stage ships as a pool plan whose kernel
 // (detail::pool_kernel) decodes the state and inputs, calls the very same
-// function and encodes the result. Output bytes and TaskMetrics therefore
-// cannot diverge between backends.
+// function and encodes the result. The wide stage (partition_by) is written
+// once the same way, as detail::RoutePartition: a per-source function that
+// groups the source's records into per-target runs. Locally the runs are
+// laid out target by target in source order; on the pool the kernel
+// detail::route_kernel encodes them as a segment bundle and each target's
+// owner concatenates its segments in source order. Output bytes and
+// TaskMetrics therefore cannot diverge between backends.
 //
 // The closure contract: pool workers fork before any stage closure exists,
 // so a worker runs `Fn{}` rather than the caller's object. That is the same
@@ -651,77 +652,110 @@ auto flat_map_metered(Engine& engine, const Rdd<K, V>& in, Fn&& fn,
 }
 
 namespace detail {
-/// State of the wide shuffle kernel.
+/// State of a wide stage: the partitioner that picks each record's target
+/// and the modeled executor count that prices cross-executor bytes.
 struct WideSpec {
   HashPartitioner part;
   std::uint64_t executors = 1;
 };
 
-/// Wide kernel: routes each record of source partition ctx.partition into
-/// per-target segments (the bundle format of dataflow/ipc/pool.hpp). The
-/// worker keeps its own slot's segments and pushes the rest; record bytes
-/// never pass through the coordinator.
-template <typename K, typename V>
-std::string partition_by_kernel(const PoolTaskCtx& ctx) {
-  const auto spec = decode_state<WideSpec>(*ctx.state);
-  const auto records =
-      ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0));
-  auto& task = *ctx.metrics;
-  const std::size_t p = ctx.partition;
-  const std::size_t targets = ctx.num_targets;
-  task.records_in = records.size();
-  task.compute_cost = task.records_in / 4;
-  std::vector<ipc::WireWriter> segs(targets);
-  std::vector<std::uint64_t> counts(targets, 0);
-  for (const auto& kv : records) {
-    const std::size_t target = spec.part.of(kv.first);
-    const std::size_t bytes = byte_size(kv);
-    task.bytes_in += bytes;
-    if (target % spec.executors != p % spec.executors) {
-      task.shuffle_bytes += bytes;
+/// The one wide stage body. For source partition `source` it picks each
+/// record's target, fills the task's metrics and returns the records
+/// grouped by target, each run in source order. Bytes that land on a
+/// different modeled executor than they started on are shuffle traffic
+/// (partition p lives on executor p mod executors). Target t of the output
+/// is run t of every source, concatenated in source order, on both
+/// backends.
+struct RoutePartition {
+  template <typename K, typename V>
+  std::vector<std::vector<std::pair<K, V>>> operator()(
+      std::vector<std::pair<K, V>> part, std::size_t source,
+      const WideSpec& spec, TaskMetrics& task) const {
+    if (spec.part.num_partitions == 0) {
+      throw std::invalid_argument(
+          "partition_by: the partitioner has 0 partitions");
     }
-    ipc::encode_value(segs[target], kv);
-    ++counts[target];
+    std::vector<std::vector<std::pair<K, V>>> runs(spec.part.num_partitions);
+    task.records_in = part.size();
+    // Routing is a hash + move per record — far cheaper than a parse or
+    // search step; the bytes cost is paid at the network term.
+    task.compute_cost = task.records_in / 4;
+    for (auto& kv : part) {
+      const std::size_t target = spec.part.of(kv.first);
+      // One byte_size walk, shared by the input and shuffle byte counts.
+      const std::size_t bytes = byte_size(kv);
+      task.bytes_in += bytes;
+      if (target % spec.executors != source % spec.executors) {
+        task.shuffle_bytes += bytes;
+      }
+      runs[target].push_back(std::move(kv));
+    }
+    task.records_out = task.records_in;
+    task.bytes_out = task.bytes_in;
+    return runs;
   }
-  task.records_out = task.records_in;
-  task.bytes_out = task.bytes_in;
-  ipc::WireWriter bundle;
-  bundle.put_u64(targets);
-  for (std::size_t t = 0; t < targets; ++t) {
-    bundle.put_u64(counts[t]);
-    bundle.put_u64(segs[t].buffer().size());
-    bundle.put_bytes(segs[t].buffer().data(), segs[t].buffer().size());
+};
+
+/// Encodes routed runs as a segment bundle (the format of
+/// dataflow/ipc/pool.cpp): u64 run count, then per run its record count,
+/// its byte size and its records encoded back to back.
+template <typename K, typename V>
+std::string encode_bundle(
+    const std::vector<std::vector<std::pair<K, V>>>& runs) {
+  ipc::WireWriter w;
+  w.put_u64(runs.size());
+  // (offset of a run's size word, its size): sizes are known only once the
+  // run's records are written, so they are patched in afterwards.
+  std::vector<std::pair<std::size_t, std::uint64_t>> sizes;
+  sizes.reserve(runs.size());
+  for (const auto& run : runs) {
+    w.put_u64(run.size());
+    const std::size_t at = w.buffer().size();
+    w.put_u64(0);
+    for (const auto& kv : run) ipc::encode_value(w, kv);
+    sizes.emplace_back(at, w.buffer().size() - at - sizeof(std::uint64_t));
   }
-  return bundle.take();
+  std::string bundle = w.take();
+  for (const auto& [at, size] : sizes) {
+    std::memcpy(bundle.data() + at, &size, sizeof(size));
+  }
+  return bundle;
+}
+
+/// The wide pool kernel, generated from RoutePartition the way pool_kernel
+/// is from a narrow stage's function. The worker keeps its own slot's
+/// segments and pushes the rest; record bytes never pass through the
+/// coordinator.
+template <typename K, typename V>
+std::string route_kernel(const PoolTaskCtx& ctx) {
+  return encode_bundle(RoutePartition{}(
+      ipc::decode_payload<std::pair<K, V>>(*ctx.inputs.at(0)), ctx.partition,
+      decode_state<WideSpec>(*ctx.state), *ctx.metrics));
 }
 }  // namespace detail
 
-/// Wide transformation: re-buckets every pair by `partitioner`. Bytes that
-/// land on a different modeled executor than they started on are counted as
-/// shuffle traffic (partition p lives on executor p mod num_executors).
+/// Wide transformation: re-buckets every pair by `partitioner` through
+/// detail::RoutePartition, one task per source partition. On the process
+/// backend the routed runs shuffle worker to worker and the output stays
+/// resident; locally each target is laid out from the runs in source order.
 template <typename K, typename V>
 Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
                        const HashPartitioner& partitioner,
                        const std::string& name = "partition_by") {
+  using Pair = std::pair<K, V>;
   const std::size_t sources = std::max<std::size_t>(1, in.num_partitions());
   const std::size_t targets = partitioner.num_partitions;
-  const std::size_t executors = std::max<std::size_t>(
-      1, engine.config().num_executors);
+  const detail::WideSpec spec{partitioner, engine.config().num_executors};
   Rdd<K, V> out;
   out.partitions.resize(targets);
   out.partitioner_id = partitioner.id();
+  auto& stage = engine.begin_stage(name, sources);
 
   if (engine.pooled()) {
-    // Worker-routed shuffle: each source task runs the wide kernel, keeps
-    // the segments owned by its own worker slot and pushes the rest
-    // worker-to-worker through the parent. The shuffled records never enter
-    // the coordinator; the output stays resident.
-    auto& stage = engine.begin_stage(name, sources);
     PoolStagePlan plan;
     plan.kind = PoolStagePlan::Kind::kWide;
-    plan.kernel = &detail::partition_by_kernel<K, V>;
-    plan.state = detail::encode_state(
-        detail::WideSpec{partitioner, static_cast<std::uint64_t>(executors)});
+    plan.kernel = &detail::route_kernel<K, V>;
+    plan.state = detail::encode_state(spec);
     plan.num_targets = targets;
     plan.inputs = [&in](std::size_t task) {
       return std::vector<PoolInputRef>{detail::pool_input(in, task)};
@@ -731,58 +765,23 @@ Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
   }
   Rdd<K, V> stor;
   const Rdd<K, V>& src = detail::localized(in, stor);
-
-  // Two passes, no intermediate buckets: pass 1 hashes each record once,
-  // remembering its target and counting per (source, target); pass 2 copies
-  // every record directly into its final slot. Target partition t holds
-  // source 0's records for t in order, then source 1's, ... — the same
-  // deterministic layout the old bucket-then-gather version produced.
-  std::vector<std::vector<std::uint32_t>> target_of(sources);
-  std::vector<std::vector<std::size_t>> counts(
-      sources, std::vector<std::size_t>(targets, 0));
-  auto& stage = engine.begin_stage(name, sources);
+  std::vector<std::vector<std::vector<Pair>>> runs(sources);
   engine.run_stage(stage, [&](TaskContext& ctx) {
     const std::size_t p = ctx.partition();
-    if (p >= src.num_partitions()) return;  // sources is clamped to >= 1
-    auto& task = ctx.metrics();
-    const auto& records = src.partitions[p];
-    task.records_in = records.size();
-    // Bucketing is a hash + copy per record — far cheaper than a parse or
-    // search step; the bytes cost is paid at the network term.
-    task.compute_cost = task.records_in / 4;
-    target_of[p].resize(records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const std::size_t target = partitioner.of(records[i].first);
-      target_of[p][i] = static_cast<std::uint32_t>(target);
-      ++counts[p][target];
-      // One byte_size walk, shared by the input and shuffle byte counts.
-      const std::size_t bytes = byte_size(records[i]);
-      task.bytes_in += bytes;
-      if (target % executors != p % executors) task.shuffle_bytes += bytes;
-    }
-    task.records_out = task.records_in;
-    task.bytes_out = task.bytes_in;
+    // Tasks past the source count (the >= 1 clamp) route nothing.
+    runs[p] = detail::RoutePartition{}(
+        p < src.num_partitions() ? src.partitions[p] : std::vector<Pair>{},
+        p, spec, ctx.metrics());
   });
-  // offsets[s][t] = where source s's run starts inside target t.
-  std::vector<std::vector<std::size_t>> offsets(
-      sources, std::vector<std::size_t>(targets, 0));
-  for (std::size_t t = 0; t < targets; ++t) {
+  // Targets are disjoint, so this parallelizes without synchronization.
+  engine.pool().parallel_for(targets, [&](std::size_t t) {
     std::size_t total = 0;
-    for (std::size_t s = 0; s < sources; ++s) {
-      offsets[s][t] = total;
-      total += counts[s][t];
-    }
-    out.partitions[t].resize(total);
-  }
-  // Sources write disjoint slices of each target, so this parallelizes
-  // without synchronization.
-  engine.pool().parallel_for(sources, [&](std::size_t s) {
-    if (s >= src.num_partitions()) return;
-    const auto& records = src.partitions[s];
-    auto& cursor = offsets[s];
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      const std::uint32_t t = target_of[s][i];
-      out.partitions[t][cursor[t]++] = records[i];
+    for (const auto& source : runs) total += source[t].size();
+    out.partitions[t].reserve(total);
+    for (auto& source : runs) {
+      std::move(source[t].begin(), source[t].end(),
+                std::back_inserter(out.partitions[t]));
+      source[t] = {};
     }
   });
   return out;

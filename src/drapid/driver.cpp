@@ -374,6 +374,8 @@ DrapidResult run_drapid(Engine& engine, BlockStore& store,
   }
   phase.reset();
   result.partitions_recovered = cached_data.partitions_recovered();
+  result.cache_bytes = cached_data.estimated_bytes();
+  result.cache_spilled = cached_data.spilled();
   result.replica_failovers = store.replica_failovers();
   result.metrics = engine.metrics();
   result.wall_seconds = watch.elapsed_seconds();

@@ -52,6 +52,10 @@ struct DrapidResult {
   std::size_t partitions_recovered = 0;
   /// Block reads served by a non-primary replica (dead-node failover).
   std::size_t replica_failovers = 0;
+  /// In-memory size estimate of the cached SPE RDD, and whether it spilled
+  /// (it does when the estimate exceeds the engine's memory budget).
+  std::size_t cache_bytes = 0;
+  bool cache_spilled = false;
   double wall_seconds = 0.0;
 };
 

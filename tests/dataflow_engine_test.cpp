@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <set>
+#include <stdexcept>
 
 namespace drapid {
 namespace {
@@ -17,6 +18,19 @@ TEST(EngineConfig, DerivedQuantities) {
   EXPECT_EQ(cfg.total_cores(), 10u);
   EXPECT_EQ(cfg.default_partitions(), 320u);  // the paper's 32-per-core scheme
   EXPECT_EQ(cfg.total_memory_bytes(), 500u);
+}
+
+TEST(Engine, RejectsAModeledClusterWithNoPartitions) {
+  // Each zero makes default_partitions() 0, which used to reach a
+  // partitioner over no targets and crash the first shuffle.
+  for (int field = 0; field < 3; ++field) {
+    EngineConfig cfg;
+    cfg.exec.threads_per_worker = 1;
+    if (field == 0) cfg.num_executors = 0;
+    if (field == 1) cfg.cores_per_executor = 0;
+    if (field == 2) cfg.partitions_per_core = 0;
+    EXPECT_THROW(Engine{cfg}, std::invalid_argument) << "field " << field;
+  }
 }
 
 TEST(Engine, BeginStageAllocatesTaskSlots) {

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cerrno>
 #include <filesystem>
 #include <iterator>
@@ -25,6 +26,7 @@
 
 #include "dataflow/block_store.hpp"
 #include "dataflow/rdd.hpp"
+#include "dataflow/spill.hpp"
 #include "drapid/pipeline.hpp"
 #include "obs/counters.hpp"
 #include "util/exec_policy.hpp"
@@ -563,6 +565,138 @@ TEST(WorkerPoolMode, LargeChainHeadsSurvivePartialWritesAndWorkerDeath) {
         << "a worker process outlived the engine";
     EXPECT_EQ(errno, ECHILD);
   }
+}
+
+// ----------------------------------------------- one shuffle, two backends
+
+/// One partition_by, run on the local backend and on the pool.
+struct ShuffleCase {
+  std::string name;
+  std::size_t records = 0;
+  std::size_t sources = 0;  ///< 0 = an input Rdd with no partitions at all
+  std::size_t targets = 1;
+  std::size_t distinct_keys = 1;
+  bool resident_input = false;  ///< feed the shuffle from a pooled stage
+  bool kill = false;            ///< SIGKILL pool worker 0 mid-shuffle
+};
+
+template <typename K, typename V>
+Rdd<K, V> shuffle_input(Engine& engine, std::vector<std::pair<K, V>> pairs,
+                        const ShuffleCase& row) {
+  if (row.sources == 0) return {};
+  auto rdd = parallelize(engine, std::move(pairs), row.sources);
+  if (!row.resident_input) return rdd;
+  return map_values(engine, rdd, [](const V& v) { return v; }, "stage_in");
+}
+
+/// Both backends produce the same partitions, partitioner_id and per-task
+/// metrics: they run the same routing function.
+template <typename K, typename V>
+void expect_shuffle_matches(const ShuffleCase& row,
+                            const std::vector<std::pair<K, V>>& pairs) {
+  SCOPED_TRACE(row.name);
+  const HashPartitioner part{row.targets};
+  const auto run = [&](EngineConfig cfg) {
+    if (row.kill) cfg.faults.kill_workers.push_back({"shuffle", 0});
+    Engine engine(cfg);
+    auto out = partition_by(engine, shuffle_input(engine, pairs, row), part,
+                            "shuffle");
+    ensure_local(out);
+    return std::make_pair(std::move(out), engine.metrics());
+  };
+  const auto [local_out, local_metrics] = run(local_config());
+  const auto [pool_out, pool_metrics] = run(process_config(3));
+  EXPECT_EQ(pool_out.partitioner_id, local_out.partitioner_id);
+  EXPECT_EQ(local_out.partitioner_id, part.id());
+  ASSERT_EQ(local_out.num_partitions(), row.targets);
+  EXPECT_EQ(local_out.size(), row.sources == 0 ? 0 : row.records);
+  EXPECT_TRUE(pool_out.partitions == local_out.partitions);
+  expect_same_task_metrics(local_metrics, pool_metrics);
+  const StageMetrics& shuffle = pool_metrics.stages.back();
+  ASSERT_EQ(shuffle.name, "shuffle");
+  EXPECT_GT(shuffle.workers_used + shuffle.pool_reuses, 0u)
+      << "the shuffle must run in the pool";
+  if (row.kill) {
+    EXPECT_GE(shuffle.worker_deaths, 1u) << "the planned kill must fire";
+  } else {
+    EXPECT_EQ(pool_metrics.total_worker_deaths(), 0u);
+  }
+}
+
+std::vector<std::pair<std::string, std::string>> shuffle_pairs(
+    const ShuffleCase& row) {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (std::size_t i = 0; i < row.records; ++i) {
+    pairs.emplace_back("k" + std::to_string(i % row.distinct_keys),
+                       "value-" + std::to_string(i * 7));
+  }
+  return pairs;
+}
+
+TEST(WorkerPoolMode, ShuffleTableMatchesLocal) {
+  DRAPID_REQUIRE_FORK();
+  const std::vector<ShuffleCase> rows = {
+      {"one target", 400, 6, 1, 50},
+      {"three targets (not a power of two)", 400, 6, 3, 50},
+      {"eight targets", 400, 6, 8, 50},
+      {"more targets than sources", 300, 2, 8, 60},
+      {"empty source partitions", 3, 8, 4, 3},
+      {"input with no partitions", 0, 0, 5, 1},
+      {"all keys on one target", 200, 5, 8, 1},
+      {"worker-resident input", 500, 7, 5, 80, true},
+      {"worker killed mid-shuffle", 600, 9, 5, 90, false, true},
+      {"resident input, worker killed", 600, 9, 8, 90, true, true},
+  };
+  for (const auto& row : rows) expect_shuffle_matches(row, shuffle_pairs(row));
+}
+
+TEST(WorkerPoolMode, TypedShuffleMatchesLocal) {
+  DRAPID_REQUIRE_FORK();
+  std::vector<std::pair<std::uint64_t, double>> pairs;
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    pairs.emplace_back(i % 37, 0.5 * static_cast<double>(i));
+  }
+  expect_shuffle_matches(ShuffleCase{"typed values", 500, 6, 3, 37}, pairs);
+  expect_shuffle_matches(
+      ShuffleCase{"typed values, worker killed", 500, 6, 8, 37, true, true},
+      pairs);
+}
+
+TEST(WorkerPoolMode, ShuffleRejectsAPartitionerWithNoPartitions) {
+  DRAPID_REQUIRE_FORK();
+  Engine engine(process_config(2));
+  const auto rdd = parallelize(engine, make_pairs(50), 4);
+  EXPECT_THROW(partition_by(engine, rdd, HashPartitioner{0}),
+               std::runtime_error);
+}
+
+TEST(WorkerPoolMode, CachingAResidentRddMovesNoBytes) {
+  DRAPID_REQUIRE_FORK();
+  // Load → shuffle → aggregate, the shape of the D-RAPID data side; the
+  // aggregate's output is what gets cached.
+  const auto build = [](Engine& engine) {
+    const HashPartitioner part{16};
+    const auto shuffled =
+        partition_by(engine, parallelize(engine, make_pairs(3000), 8), part);
+    return aggregate_by_key(
+        engine, shuffled, std::string{},
+        [](std::string& agg, const std::string& v) { agg += v; },
+        [](std::string& agg, std::string&& other) { agg += other; }, part,
+        "agg");
+  };
+  Engine local(local_config());
+  CachedStringRdd local_cache(local, build(local), "data");
+
+  Engine pooled(process_config(2));
+  auto resident = build(pooled);
+  ASSERT_TRUE(resident.resident);
+  auto& ipc = obs::global_counters().counter("engine.ipc_bytes");
+  const std::int64_t before = ipc.value();
+  CachedStringRdd pooled_cache(pooled, std::move(resident), "data");
+  EXPECT_EQ(ipc.value() - before, 0) << "sizing must not fetch partitions";
+  EXPECT_EQ(pooled_cache.estimated_bytes(), local_cache.estimated_bytes());
+  EXPECT_FALSE(pooled_cache.spilled());
+  EXPECT_EQ(pooled_cache.borrow().collect(), local_cache.borrow().collect());
 }
 
 // ------------------------------------------------ kill_worker plan semantics

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -129,6 +130,28 @@ TEST(PartitionBy, RecordsShuffleBytes) {
   // With 97 keys hashed across 8 partitions on 4 executors, most records
   // move between executors.
   EXPECT_GT(engine.metrics().total_shuffle_bytes(), 0u);
+}
+
+TEST(PartitionBy, RejectsAPartitionerWithNoPartitions) {
+  Engine engine(test_config());
+  const auto rdd = parallelize(engine, sample_pairs(50, 7), 4);
+  EXPECT_THROW(partition_by(engine, rdd, HashPartitioner{0}),
+               std::invalid_argument);
+}
+
+TEST(PartitionBy, TargetsConcatenateSourceRunsInSourceOrder) {
+  // Target t holds source 0's records for t in their order, then source
+  // 1's, and so on — the layout both backends assemble.
+  Engine engine(test_config());
+  const auto rdd = parallelize(engine, sample_pairs(300, 41), 5);
+  const HashPartitioner part{3};
+  const auto out = partition_by(engine, rdd, part);
+  ASSERT_EQ(out.num_partitions(), 3u);
+  std::vector<std::vector<StrPair>> expected(3);
+  for (const auto& source : rdd.partitions) {
+    for (const auto& kv : source) expected[part.of(kv.first)].push_back(kv);
+  }
+  for (std::size_t t = 0; t < 3; ++t) EXPECT_EQ(out.partitions[t], expected[t]);
 }
 
 TEST(AggregateByKey, CountsMatchReference) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "dataflow/ipc/process_executor.hpp"
 #include "drapid/pipeline.hpp"
+#include "obs/counters.hpp"
 #include "rapid/multithreaded.hpp"
 
 namespace drapid {
@@ -206,6 +210,76 @@ TEST(DrapidDriver, SpillsWhenExecutorMemoryTooSmall) {
                              *cfg.survey.grid, {});
   EXPECT_EQ(r2.metrics.total_spill_bytes(), 0u);
   EXPECT_EQ(r.records.size(), r2.records.size());
+}
+
+// The cached SPE RDD of a pooled run stays in the workers: sizing it for the
+// memory budget reads the producing tasks' estimates instead of pulling the
+// partitions back, and the estimate is the local backend's to the byte.
+struct PooledCacheRun {
+  DrapidResult result;
+  std::string ml;
+  std::int64_t unstaged_ipc = 0;  ///< engine.ipc_bytes outside any stage
+};
+
+PooledCacheRun run_cached(BlockStore& store, const PipelineConfig& cfg,
+                          EngineConfig engine_cfg) {
+  auto& ipc = obs::global_counters().counter("engine.ipc_bytes");
+  const std::int64_t before = ipc.value();
+  PooledCacheRun run;
+  {
+    Engine engine(engine_cfg);
+    run.result = run_drapid(engine, store, "d.csv", "c.csv", "ml.csv",
+                            *cfg.survey.grid, {});
+  }
+  run.ml = store.get("ml.csv");
+  run.unstaged_ipc = ipc.value() - before;
+  for (const auto& stage : run.result.metrics.stages) {
+    run.unstaged_ipc -= static_cast<std::int64_t>(stage.ipc_bytes);
+  }
+  return run;
+}
+
+TEST(DrapidPooledCache, EstimateAndSpillDecisionMatchLocal) {
+  if (!process_executor_supported()) GTEST_SKIP() << "no fork backend";
+  BlockStore store(15);
+  const auto cfg = small_pipeline(71);
+  const auto data = prepare_pipeline_data(cfg);
+  store.put("d.csv", data.data_csv);
+  store.put("c.csv", data.cluster_csv);
+
+  EngineConfig local = engine_config(/*executors=*/1);
+  EngineConfig pooled = local;
+  pooled.exec = ExecPolicy::process(3, 1);
+  const PooledCacheRun l = run_cached(store, cfg, local);
+  const PooledCacheRun p = run_cached(store, cfg, pooled);
+  ASSERT_FALSE(l.result.cache_spilled);
+  ASSERT_GT(l.result.cache_bytes, 0u);
+  EXPECT_EQ(p.result.cache_bytes, l.result.cache_bytes);
+  EXPECT_FALSE(p.result.cache_spilled);
+  EXPECT_EQ(p.ml, l.ml);
+  // Outside the stages only the ML rows' collect and the release and
+  // shutdown frames cross the sockets. The cached SPE set, which sizing used
+  // to pull back whole, is several times larger than all of them.
+  EXPECT_GT(p.unstaged_ipc, 0);
+  EXPECT_LT(static_cast<std::size_t>(p.unstaged_ipc),
+            l.result.cache_bytes / 2);
+
+  // A budget of exactly the estimate holds the dataset; one byte less
+  // spills it. Both backends decide alike on both sides of the edge.
+  for (const std::size_t budget :
+       {l.result.cache_bytes, l.result.cache_bytes - 1}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    local.executor_memory_bytes = budget;
+    pooled.executor_memory_bytes = budget;
+    const PooledCacheRun lb = run_cached(store, cfg, local);
+    const PooledCacheRun pb = run_cached(store, cfg, pooled);
+    EXPECT_EQ(lb.result.cache_spilled, budget < l.result.cache_bytes);
+    EXPECT_EQ(pb.result.cache_spilled, lb.result.cache_spilled);
+    EXPECT_EQ(pb.result.cache_bytes, lb.result.cache_bytes);
+    EXPECT_EQ(pb.ml, l.ml) << "a spilled pooled cache must not change the ML";
+    EXPECT_EQ(pb.result.metrics.total_spill_bytes(),
+              lb.result.metrics.total_spill_bytes());
+  }
 }
 
 }  // namespace
