@@ -100,7 +100,7 @@ JobMetrics scale_metrics(const JobMetrics& job, double factor);
 
 /// Measured-vs-modeled makespan comparison. Before PR 7 the model's output
 /// could only be eyeballed against the paper's figures; with the process
-/// backend actually running stages concurrently, Engine::run_stage stamps a
+/// backend actually running stages concurrently, the engine stamps a
 /// real wall clock per stage (StageMetrics::wall_seconds) that the priced
 /// schedule can be validated against.
 struct MakespanValidation {

@@ -6,7 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "dataflow/ipc/process_executor.hpp"
+#include "dataflow/ipc/pool.hpp"
 #include "util/text_table.hpp"
 
 namespace drapid {
@@ -35,6 +35,20 @@ const EngineConfig& checked(const EngineConfig& config) {
   return config;
 }
 }  // namespace
+
+bool process_executor_supported() {
+#if defined(__SANITIZE_THREAD__)
+  return false;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+  return false;
+#else
+  return true;
+#endif
+#else
+  return true;
+#endif
+}
 
 std::size_t StageMetrics::total_records_in() const {
   return sum_tasks(*this, &TaskMetrics::records_in);
@@ -142,14 +156,12 @@ Engine::Engine(EngineConfig config)
       worker_deaths_counter_(
           obs::global_counters().counter("engine.worker_deaths")),
       ipc_bytes_counter_(obs::global_counters().counter("engine.ipc_bytes")) {
+  // A TSan build, where forking a multithreaded process would deadlock the
+  // sanitizer runtime, runs a process policy in-process like the local one.
   if (config_.exec.backend == ExecBackend::kProcess &&
       process_executor_supported()) {
-    executor_ = std::make_unique<ProcessExecutor>(
+    worker_pool_ = std::make_unique<WorkerPool>(
         *this, config_.exec.resolve_workers(config_.num_executors));
-  } else {
-    // Local backend, or a sanitizer build where forking a multithreaded
-    // process would deadlock the TSan runtime: run everything in-process.
-    executor_ = std::make_unique<LocalExecutor>(*this);
   }
   namespace fs = std::filesystem;
   fs::path dir = config_.spill_dir.empty()
@@ -179,14 +191,13 @@ StageMetrics& Engine::begin_stage(const std::string& name, std::size_t tasks) {
   return metrics_.stages.back();
 }
 
-void Engine::run_stage(StageMetrics& stage,
-                       const std::function<void(TaskContext&)>& body,
-                       PoolStagePlan* plan) {
+template <typename Run>
+void Engine::instrumented(StageMetrics& stage, Run&& run) {
   obs::ScopedSpan stage_span(tracer_, "stage", stage.name, "dataflow");
   stage_span.arg("tasks", static_cast<std::int64_t>(stage.tasks.size()));
   const SchedulerStats pool_before = pool_.stats();
   const auto wall_start = std::chrono::steady_clock::now();
-  executor_->run_stage_tasks(StageRun{stage, body, plan});
+  run();
   stage.wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -207,6 +218,51 @@ void Engine::run_stage(StageMetrics& stage,
     stage_span.arg("parks", static_cast<std::int64_t>(parks));
     stage_span.arg("fastpath_completions", static_cast<std::int64_t>(fastpath));
   }
+}
+
+void Engine::run_stage(StageMetrics& stage,
+                       const std::function<void(TaskContext&)>& body) {
+  const std::size_t max_attempts =
+      std::max<std::size_t>(1, config_.max_task_attempts);
+  instrumented(stage, [&] {
+    pool_.parallel_for(stage.tasks.size(), [&](std::size_t p) {
+      auto& task = stage.tasks[p];
+      obs::ScopedSpan task_span(tracer_, "task", stage.name, "dataflow");
+      task_span.arg("partition", static_cast<std::int64_t>(p));
+      TaskContext ctx(stage.name, p, task, task_span);
+      detail::run_attempts(
+          faults_, stage.name, p, 0, max_attempts, task,
+          [&](std::size_t attempt) {
+            ctx.attempt_ = attempt;
+            body(ctx);
+          },
+          [&](std::size_t attempt, bool last) {
+            retries_counter_.add();
+            if (tracer_.enabled()) {
+              obs::Json args = obs::Json::object();
+              args.set("stage", stage.name);
+              args.set("partition", static_cast<std::int64_t>(p));
+              args.set("attempt", static_cast<std::int64_t>(attempt));
+              tracer_.instant("task.retry", std::move(args), "fault");
+            }
+            if (last) {
+              failures_counter_.add();
+              task_span.arg("failed", true);
+            }
+          });
+      tasks_counter_.add();
+      if (task.attempts > 1) {
+        task_span.arg("attempts", static_cast<std::int64_t>(task.attempts));
+      }
+    });
+  });
+}
+
+std::shared_ptr<PoolSet> Engine::run_pooled_stage(StageMetrics& stage,
+                                                  const PoolStagePlan& plan) {
+  std::shared_ptr<PoolSet> out;
+  instrumented(stage, [&] { out = worker_pool_->run_stage(stage, plan); });
+  return out;
 }
 
 std::string Engine::next_spill_path() {

@@ -1,17 +1,30 @@
 // Execution engine for the mini-dataflow library (the Spark stand-in).
 //
-// The engine owns the worker pool that runs one task per partition, the
+// The engine owns the thread pool that runs one task per partition, the
 // running job metrics, and the spill directory used when a dataset exceeds
 // the configured executor memory (the mechanism behind the paper's
 // one-executor cliff in Figure 4: "portions of the RDDs must be frequently
 // swapped out to disk").
 //
-// Fault tolerance: every stage executes through run_stage, which retries a
-// task attempt killed by the engine's FaultInjector up to max_task_attempts
-// times (Spark's spark.task.maxFailures). A failed attempt is modeled as
-// dying just before completion, so the wasted work lands in the task's
-// attempts/retry_cost counters and the cluster cost model prices recovery
-// time — reattempt scheduling plus exponential backoff — into the makespan.
+// It drives every stage itself, through one of two entry points:
+//
+//   * run_stage runs a body closure once per task on the in-process thread
+//     pool, on every backend (spill I/O and cache bookkeeping run here even
+//     on the process backend);
+//   * run_pooled_stage runs a PoolStagePlan (dataflow/executor.hpp) on the
+//     process backend's job-lifetime WorkerPool (dataflow/ipc/pool.hpp) and
+//     leaves the output resident in the workers.
+//
+// Both record the stage span, wall time and scheduler-stat deltas the same
+// way, and every task of either kind — in this process or in a pool worker —
+// runs through detail::run_attempts below.
+//
+// Fault tolerance: run_attempts retries a task attempt killed by the
+// engine's FaultInjector up to max_task_attempts times (Spark's
+// spark.task.maxFailures). A failed attempt is modeled as dying just before
+// completion, so the wasted work lands in the task's attempts/retry_cost
+// counters and the cluster cost model prices recovery time — reattempt
+// scheduling plus exponential backoff — into the makespan.
 #pragma once
 
 #include <atomic>
@@ -30,6 +43,12 @@
 #include "util/thread_pool.hpp"
 
 namespace drapid {
+
+class WorkerPool;
+
+/// False when the build cannot fork workers (thread sanitizer); the engine
+/// then silently downgrades a process policy to the local backend.
+bool process_executor_supported();
 
 struct EngineConfig {
   /// Modeled executors; partition counts and memory scale with this.
@@ -69,6 +88,48 @@ struct EngineConfig {
   }
 };
 
+namespace detail {
+
+/// No per-kill side effects: what a pool worker passes, so it never touches
+/// the coordinator's tracer or counters.
+struct NoKillHook {
+  void operator()(std::size_t /*attempt*/, bool /*last*/) const {}
+};
+
+/// The one task attempt loop, run by in-process tasks (Engine::run_stage)
+/// and pool-worker tasks alike. Attempts `first_attempt`, `first_attempt +
+/// 1`, ... of task `partition` each take one fault draw; a killed attempt
+/// calls on_kill(attempt, last), `last` meaning it spent the budget, and the
+/// next attempt launches (the reattempt backoff is modeled, not slept). The
+/// first surviving attempt calls run(attempt) once. A failed attempt is
+/// modeled as dying just before completion, so a task that needed retries
+/// adds one full attempt's compute per failure to retry_cost. A task that
+/// reaches `max_attempts` attempts — injected kills, or worker deaths
+/// charged to `first_attempt` — throws TaskFailure.
+template <typename Run, typename OnKill = NoKillHook>
+void run_attempts(const FaultInjector& faults, const std::string& stage,
+                  std::size_t partition, std::size_t first_attempt,
+                  std::size_t max_attempts, TaskMetrics& task, Run&& run,
+                  OnKill&& on_kill = {}) {
+  task.attempts = first_attempt;  // charged before this loop began
+  for (std::size_t attempt = first_attempt; attempt < max_attempts;
+       ++attempt) {
+    task.attempts = attempt + 1;
+    if (faults.fail_task(stage, partition, attempt)) {
+      on_kill(attempt, attempt + 1 >= max_attempts);
+      continue;
+    }
+    run(attempt);
+    if (attempt > 0) task.retry_cost += attempt * task.compute_cost;
+    return;
+  }
+  throw TaskFailure("task failed permanently after " +
+                    std::to_string(task.attempts) + " attempts: stage=" +
+                    stage + " partition=" + std::to_string(partition));
+}
+
+}  // namespace detail
+
 /// Per-task view handed to every run_stage body. Bundles what the old
 /// `std::size_t partition` parameter made callers fish out of shared state:
 /// the partition index, the task's metrics slot, the current attempt (the
@@ -94,7 +155,6 @@ class TaskContext {
 
  private:
   friend class Engine;
-  friend class LocalExecutor;
   TaskContext(const std::string& stage_name, std::size_t partition,
               TaskMetrics& metrics, obs::ScopedSpan& span)
       : stage_name_(stage_name),
@@ -132,32 +192,28 @@ class Engine {
   /// running one — never invalidate it.
   StageMetrics& begin_stage(const std::string& name, std::size_t tasks);
 
-  /// Runs body(ctx) for every task slot of `stage` through the configured
-  /// executor backend, giving each task up to config().max_task_attempts
-  /// attempts. Injected failures kill an attempt *at launch* (so a body
-  /// observes either a complete prior run or none; bodies need not be
-  /// idempotent mid-flight) and are retried with the wasted work recorded in
-  /// attempts/retry_cost; genuine exceptions from the body propagate
-  /// immediately, first one wins. The whole stage runs under a "stage" trace
-  /// span and each task under a nested "task" span; retries emit
-  /// "task.retry" instants.
-  ///
-  /// `plan` is the stage's pool plan (PR 10), or nullptr when the stage
-  /// cannot ship by kernel+bytes. Only the process backend reads it: a
-  /// planned stage runs in the worker pool and, on success, fills plan->out
-  /// with its worker-resident output set; an unplanned stage runs `body`
-  /// in-process on every backend.
+  /// Runs body(ctx) for every task slot of `stage` on the in-process thread
+  /// pool, whatever the backend, giving each task up to
+  /// config().max_task_attempts attempts. Injected failures kill an attempt
+  /// *at launch* (so a body observes either a complete prior run or none;
+  /// bodies need not be idempotent mid-flight) and are retried with the
+  /// wasted work recorded in attempts/retry_cost; genuine exceptions from the
+  /// body propagate immediately, first one wins. The whole stage runs under a
+  /// "stage" trace span and each task under a nested "task" span; retries
+  /// emit "task.retry" instants.
   void run_stage(StageMetrics& stage,
-                 const std::function<void(TaskContext&)>& body,
-                 PoolStagePlan* plan = nullptr);
+                 const std::function<void(TaskContext&)>& body);
 
-  /// True when planned stages run on the process backend's worker pool
-  /// (Executor::pooled). Transformations build a PoolStagePlan only then.
-  bool pooled() const { return executor_->pooled(); }
+  /// Runs `plan` on the worker pool (pooled() only; `stage` has at least one
+  /// task), forking the pool first if this is the job's first pooled stage,
+  /// and returns the stage's worker-resident output set. Each worker task
+  /// runs the plan's kernel through the same attempt loop as run_stage.
+  std::shared_ptr<PoolSet> run_pooled_stage(StageMetrics& stage,
+                                            const PoolStagePlan& plan);
 
-  /// The backend actually executing stage tasks (resolved from config().exec
-  /// at construction; a TSan build downgrades process to local).
-  Executor& executor() { return *executor_; }
+  /// True when the engine has a worker pool: the process backend, outside
+  /// TSan builds. Transformations build a PoolStagePlan only then.
+  bool pooled() const { return worker_pool_ != nullptr; }
 
   /// The tracer this engine records into (config().tracer or the global).
   obs::Tracer& tracer() { return tracer_; }
@@ -166,8 +222,12 @@ class Engine {
   std::string next_spill_path();
 
  private:
-  friend class LocalExecutor;
   friend class WorkerPool;
+
+  /// Times `run` as one stage: its span, wall_seconds, and the thread-pool
+  /// scheduler deltas.
+  template <typename Run>
+  void instrumented(StageMetrics& stage, Run&& run);
 
   EngineConfig config_;
   ThreadPool pool_;
@@ -177,7 +237,7 @@ class Engine {
   std::string spill_dir_;
   std::atomic<std::size_t> spill_counter_{0};
   obs::Tracer& tracer_;
-  std::unique_ptr<Executor> executor_;
+  std::unique_ptr<WorkerPool> worker_pool_;  ///< null unless pooled()
   // Registry lookups happen once here; task loops pay one relaxed add.
   obs::CounterRegistry::Counter& stages_counter_;
   obs::CounterRegistry::Counter& tasks_counter_;

@@ -1,24 +1,17 @@
-// Pluggable stage executors for the dataflow engine.
+// What a pooled stage ships to the process backend's workers.
 //
-// Engine::run_stage keeps its TaskContext& callback shape, but task
-// placement, the bounded retry loop, and failure recovery all route through
-// an Executor so the scheduler drives every backend identically:
-//
-//   * LocalExecutor — the default: one task per partition on the engine's
-//     in-process work-stealing pool, byte-identical to the pre-PR 7 engine
-//     (same attempt loop, same spans, same counters).
-//   * ProcessExecutor (dataflow/ipc/process_executor.hpp) — runs every stage
-//     that carries a PoolStagePlan on a job-lifetime pool of forked worker
-//     processes (dataflow/ipc/pool.hpp) and every other stage in-process on
-//     an embedded LocalExecutor.
-//
-// A worker process forked before a stage's closure existed cannot run that
-// closure, so a stage that leaves the process ships a plan instead: a kernel
-// function pointer plus the stage state encoded by the ipc value codec.
-// Every RDD transformation (dataflow/rdd.hpp) builds its plan from the same
-// per-partition function its local body calls, with a captureless closure
-// the worker rebuilds as Fn{}; stages without a plan (spill I/O, in-memory
-// bookkeeping) run their body in-process on every backend.
+// The job-lifetime WorkerPool (dataflow/ipc/pool.hpp) forks before most of a
+// job's closures and data exist, so a pooled stage cannot run a body closure
+// in the worker. It ships a plan instead: *code by address* (a kernel
+// function pointer, valid across fork because parent and child are the same
+// binary) plus *state by value* (the stage state and the input partitions,
+// both serialized by the ipc value codec), and the worker keeps the
+// serialized output resident for the next stage. Engine::run_pooled_stage
+// hands the plan to the pool. Every RDD transformation (dataflow/rdd.hpp)
+// builds its plan from the same per-partition function its local body
+// calls, with a captureless closure the worker rebuilds as Fn{}; stages
+// without a plan (spill I/O, in-memory bookkeeping) run their body through
+// Engine::run_stage in-process on every backend.
 #pragma once
 
 #include <cstddef>
@@ -31,19 +24,6 @@
 #include "dataflow/metrics.hpp"
 
 namespace drapid {
-
-class Engine;
-class TaskContext;
-struct StageMetrics;
-
-// ---------------------------------------------------------------------------
-// Pool stage plans (PR 10). A job-lifetime worker pool forks before most of a
-// job's closures and data exist, so a pooled stage cannot run the body
-// closure in the worker. Instead the stage ships *code by address* (a kernel
-// function pointer, valid across fork because parent and child are the same
-// binary) plus *state by value* (the stage state and the input partitions,
-// both serialized by the ipc value codec), and the worker keeps the
-// serialized output resident for the next stage.
 
 /// Type-erased context a pool kernel runs under in the worker (or in the
 /// parent, when rebuilding a lost partition from lineage).
@@ -110,60 +90,6 @@ struct PoolStagePlan {
   std::size_t num_targets = 0;
   /// Called once per task at dispatch to name its input partitions.
   std::function<std::vector<PoolInputRef>(std::size_t task)> inputs;
-  /// Filled by the executor on success: the stage's resident output set.
-  std::shared_ptr<PoolSet> out;
-};
-
-/// One stage execution handed from Engine::run_stage to the executor.
-struct StageRun {
-  StageMetrics& stage;
-  const std::function<void(TaskContext&)>& body;
-  /// Pool plan, or nullptr when the stage cannot ship (spill or cache
-  /// bookkeeping). Only the process backend reads it.
-  PoolStagePlan* plan = nullptr;
-};
-
-/// A stage execution backend. Implementations own task placement and the
-/// per-task attempt loop; the engine owns stage spans, scheduler-stat
-/// attribution, and the metrics registry.
-class Executor {
- public:
-  explicit Executor(bool pooled) : pooled_(pooled) {}
-  virtual ~Executor() = default;
-
-  /// Backend name as spelled on --backend ("local" | "process").
-  virtual const char* name() const = 0;
-  /// OS processes running task bodies (1 for the in-process backend).
-  virtual std::size_t workers() const = 0;
-
-  /// Runs every task of `run.stage` to completion (with retries) or throws:
-  /// TaskFailure once any task exhausts the engine's attempt budget, or the
-  /// first body exception otherwise.
-  virtual void run_stage_tasks(StageRun run) = 0;
-
-  /// True on the process backend: a stage that carries a PoolStagePlan runs
-  /// in the worker pool and leaves its output resident there. False
-  /// everywhere else (local backend, TSan fallback), where plans are ignored.
-  bool pooled() const { return pooled_; }
-
- private:
-  bool pooled_;
-};
-
-/// In-process backend: the pre-PR 7 execution path, verbatim. Tasks fan out
-/// over the engine's work-stealing pool; injected failures kill an attempt
-/// at launch and are retried with the wasted work recorded in
-/// attempts/retry_cost. Pool plans are ignored (the body runs in place).
-class LocalExecutor : public Executor {
- public:
-  explicit LocalExecutor(Engine& engine) : Executor(false), engine_(engine) {}
-
-  const char* name() const override { return "local"; }
-  std::size_t workers() const override { return 1; }
-  void run_stage_tasks(StageRun run) override;
-
- private:
-  Engine& engine_;
 };
 
 }  // namespace drapid

@@ -39,14 +39,6 @@ constexpr std::size_t kReadChunk = 1 << 20;
 /// Most iovecs handed to one sendmsg(2)/writev(2).
 constexpr std::size_t kMaxIov = 64;
 
-std::string permanent_failure_message(const std::string& stage,
-                                      std::size_t partition,
-                                      std::size_t attempts) {
-  return "task failed permanently after " + std::to_string(attempts) +
-         " attempts: stage=" + stage +
-         " partition=" + std::to_string(partition);
-}
-
 /// Writes the whole buffer with blocking write(2); child side only.
 bool write_all(int fd, const char* data, std::size_t size) {
   while (size > 0) {
@@ -212,8 +204,8 @@ void child_handle_stage_begin(ChildState& st, const FrameView& frame) {
   st.stage = std::move(s);
 }
 
-/// Runs one assigned task: the PR 7 attempt loop (same fault-draw sites,
-/// same attempt/retry_cost accounting), then the kernel instead of the body.
+/// Runs one assigned task: the kernel, through the engine's attempt loop,
+/// resumed after the attempts worker deaths already charged.
 void child_handle_assign(ChildState& st, const FrameView& frame) {
   WireReader r(frame.payload, frame.payload_size);
   const std::size_t p = static_cast<std::size_t>(frame.partition);
@@ -255,21 +247,9 @@ void child_handle_assign(ChildState& st, const FrameView& frame) {
     ctx.state = &stage.state;
     ctx.inputs = inputs;
     ctx.metrics = &task;
-    for (std::size_t attempt = attempt_base;; ++attempt) {
-      task.attempts = attempt + 1;
-      if (st.faults->fail_task(stage.name, p, attempt)) {
-        if (attempt + 1 >= stage.max_attempts) {
-          throw TaskFailure(
-              permanent_failure_message(stage.name, p, attempt + 1));
-        }
-        continue;  // the reattempt backoff is modeled, not slept
-      }
-      out = stage.kernel(ctx);
-      if (attempt > 0) {
-        task.retry_cost += attempt * task.compute_cost;
-      }
-      break;
-    }
+    detail::run_attempts(*st.faults, stage.name, p, attempt_base,
+                         stage.max_attempts, task,
+                         [&](std::size_t) { out = stage.kernel(ctx); });
   } catch (const TaskFailure& failure) {
     reply.kind = FrameKind::kError;
     reply.error_kind = ipc::WireErrorKind::kTaskFailure;
@@ -569,7 +549,6 @@ std::string PoolRegistryCore::fetch(std::uint64_t set, std::size_t partition) {
 std::string PoolRegistryCore::rebuild(std::uint64_t set,
                                       std::size_t partition) {
   pooldetail::SetState& s = sets_.at(set);
-  pooldetail::PartState& part = s.parts.at(partition);
   obs::global_counters().add("engine.pool_rebuilds");
   // Chain-head bytes are read in place; other sets' partitions are fetched
   // into `storage`.
@@ -580,7 +559,6 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
     return &storage;
   };
   TaskMetrics scratch;  // lineage rebuilds charge no attempts, draw no faults
-  std::string built;
   if (s.kind == PoolStagePlan::Kind::kNarrow) {
     const auto& refs = s.task_inputs.at(partition);
     std::vector<std::string> fetched(refs.size());
@@ -591,30 +569,45 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
       ctx.inputs.push_back(input_bytes(refs[i], fetched[i]));
     }
     ctx.metrics = &scratch;
-    built = s.kernel(ctx);
-  } else {
-    // Wide target: re-run every source's routing kernel and assemble
-    // segment `partition` of each bundle, in source order, exactly as the
-    // owning worker would have.
-    TargetAssembly assembly;
-    for (std::size_t src = 0; src < s.task_inputs.size(); ++src) {
-      const auto& refs = s.task_inputs.at(src);
-      std::string fetched;
-      PoolTaskCtx ctx;
-      ctx.partition = src;
-      ctx.state = &s.state;
-      ctx.inputs.push_back(input_bytes(refs.at(0), fetched));
-      ctx.metrics = &scratch;
-      const std::string bundle = s.kernel(ctx);
-      const BundleSeg seg = parse_bundle(bundle).at(partition);
-      assembly.add(seg.count, seg.data, seg.size);
-    }
-    part.records = static_cast<std::size_t>(assembly.records());
-    built = assembly.take();
+    pooldetail::PartState& part = s.parts.at(partition);
+    part.parent_bytes = s.kernel(ctx);
+    part.bytes = part.parent_bytes.size();
+    return part.parent_bytes;
   }
-  part.parent_bytes = std::move(built);
-  part.bytes = part.parent_bytes.size();
-  return part.parent_bytes;
+  // Wide: every target of the set on no live worker and without a parent
+  // copy is lost with this one. Re-run every source's routing kernel once
+  // and assemble all of them, each from its segments in source order,
+  // exactly as the owning workers would have.
+  std::vector<std::size_t> lost;
+  for (std::size_t t = 0; t < s.parts.size(); ++t) {
+    const pooldetail::PartState& part = s.parts[t];
+    if (t == partition || (part.owner == pooldetail::PartState::kNone &&
+                           part.parent_bytes.empty())) {
+      lost.push_back(t);
+    }
+  }
+  std::vector<TargetAssembly> assemblies(lost.size());
+  for (std::size_t src = 0; src < s.task_inputs.size(); ++src) {
+    std::string fetched;
+    PoolTaskCtx ctx;
+    ctx.partition = src;
+    ctx.state = &s.state;
+    ctx.inputs.push_back(input_bytes(s.task_inputs[src].at(0), fetched));
+    ctx.metrics = &scratch;
+    const std::string bundle = s.kernel(ctx);
+    const std::vector<BundleSeg> segs = parse_bundle(bundle);
+    for (std::size_t i = 0; i < lost.size(); ++i) {
+      const BundleSeg& seg = segs.at(lost[i]);
+      assemblies[i].add(seg.count, seg.data, seg.size);
+    }
+  }
+  for (std::size_t i = 0; i < lost.size(); ++i) {
+    pooldetail::PartState& part = s.parts[lost[i]];
+    part.records = static_cast<std::size_t>(assemblies[i].records());
+    part.parent_bytes = assemblies[i].take();
+    part.bytes = part.parent_bytes.size();
+  }
+  return s.parts[partition].parent_bytes;
 }
 
 std::size_t PoolRegistryCore::set_estimated_bytes(std::uint64_t set) const {
@@ -642,14 +635,14 @@ struct WorkerPool::StageCtx {
   struct Task {
     std::size_t partition = 0;
     /// Attempts already charged by deaths of this task's worker slot; the
-    /// child's retry loop starts here (PR 7 accounting, verbatim).
+    /// child's attempt loop resumes here.
     std::size_t attempt_base = 0;
   };
 
-  StageCtx(StageMetrics& s, PoolStagePlan& p) : stage(s), plan(p) {}
+  StageCtx(StageMetrics& s, const PoolStagePlan& p) : stage(s), plan(p) {}
 
   StageMetrics& stage;
-  PoolStagePlan& plan;
+  const PoolStagePlan& plan;
   bool wide = false;
   std::uint64_t out_set = 0;
   pooldetail::SetState* out_state = nullptr;
@@ -794,7 +787,8 @@ void WorkerPool::handle_death(PoolWorker& w) {
     return;
   }
   // Every unfinished task is charged one attempt — the same price as an
-  // injected task kill under the local backend.
+  // injected task kill under the local backend. A task whose budget this
+  // spends fails in its attempt loop on the replacement worker.
   auto& pending = ctx.assigned[slot];
   for (auto& t : pending) {
     t.attempt_base += 1;
@@ -806,11 +800,6 @@ void WorkerPool::handle_death(PoolWorker& w) {
       args.set("partition", static_cast<std::int64_t>(t.partition));
       args.set("attempt", static_cast<std::int64_t>(t.attempt_base - 1));
       engine_.tracer_.instant("task.retry", std::move(args), "fault");
-    }
-    if (t.attempt_base >= ctx.max_attempts) {
-      engine_.failures_counter_.add();
-      throw TaskFailure(permanent_failure_message(ctx.stage.name, t.partition,
-                                                  t.attempt_base));
     }
   }
   if (pending.empty()) return;  // nothing to redo; respawn lazily
@@ -869,7 +858,13 @@ void WorkerPool::flush(PoolWorker& w) {
     if (sent < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      handle_death(w);
+      // The worker is gone, but frames it sent before dying (a task's
+      // result or error) may still be unread. Stop sending — the shutdown
+      // also ends a worker that somehow lives on — and let the read side
+      // handle the death once it has dispatched them.
+      ::shutdown(w.fd, SHUT_WR);
+      w.outq.clear();
+      w.outpos = 0;
       return;
     }
     std::size_t left = static_cast<std::size_t>(sent);
@@ -959,6 +954,13 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const FrameView& frame,
     case FrameKind::kError: {
       const std::string message(frame.payload, frame.payload_size);
       if (frame.error_kind == ipc::WireErrorKind::kTaskFailure) {
+        // Every attempt that no worker death charged was an injected kill,
+        // the last one included.
+        const std::size_t p = static_cast<std::size_t>(frame.partition);
+        if (ctx_ != nullptr && p < ctx_->ntasks) {
+          engine_.retries_counter_.add(static_cast<std::int64_t>(
+              frame.metrics.attempts - ctx_->death_attempts[p]));
+        }
         engine_.failures_counter_.add();
         throw TaskFailure(message);
       }
@@ -1212,9 +1214,8 @@ void WorkerPool::drain_reassign() {
   }
 }
 
-void WorkerPool::run_pooled_stage(StageRun run) {
-  StageMetrics& stage = run.stage;
-  PoolStagePlan& plan = *run.plan;
+std::shared_ptr<PoolSet> WorkerPool::run_stage(StageMetrics& stage,
+                                               const PoolStagePlan& plan) {
   ensure_spawned(&stage);
 
   StageCtx ctx(stage, plan);
@@ -1330,7 +1331,7 @@ void WorkerPool::run_pooled_stage(StageRun run) {
   handle->id = ctx.out_set;
   handle->core = core_;
   handle->upstream = std::move(upstream);
-  plan.out = std::move(handle);
+  return handle;
 }
 
 void WorkerPool::release_on_workers(std::uint64_t set) {

@@ -25,15 +25,18 @@
 // runs as segments, keeps segments whose target it owns (target % workers ==
 // slot), and pushes the rest as kShufflePush frames that the parent relays
 // verbatim to the owning worker. At kStageEnd each owner concatenates its
-// staged segments in source order and keeps the result resident; a lineage
-// rebuild of a lost target assembles it with the same routine. Per-socket
+// staged segments in source order and keeps the result resident. A lineage
+// rebuild assembles every lost target of a set with the same routine, from
+// one routing pass over the sources. Per-socket
 // FIFO ordering makes the barrier trivial: a relayed push always arrives
 // before the kStageEnd that follows it on the same socket.
 //
 // Failure model: worker death (EOF / corrupt frame) charges one attempt to
 // each unfinished task it held — identical accounting to an injected task
 // kill under the local backend — and a replacement is forked at
-// incarnation + 1. Partitions that were resident on
+// incarnation + 1, where each task's attempt loop (detail::run_attempts, the
+// local backend's too) resumes after the charged attempts and fails the
+// task if they spent its budget. Partitions that were resident on
 // the dead worker are *not* re-shipped: the parent registry stores each set's
 // lineage (kernel, stage state, and the chain-head input bytes), so a lost
 // partition is rebuilt on demand by re-running kernels in the parent. Lineage
@@ -149,7 +152,7 @@ class PoolRegistryCore {
   std::uint64_t next_id_ = 1;
 };
 
-/// The job-lifetime pool. One per ProcessExecutor.
+/// The job-lifetime pool. One per Engine on the process backend.
 class WorkerPool {
  public:
   WorkerPool(Engine& engine, std::size_t workers);
@@ -160,10 +163,11 @@ class WorkerPool {
 
   std::size_t workers() const { return nworkers_; }
 
-  /// Runs one pooled stage (run.plan != nullptr, tasks nonempty) through the
-  /// pool, forking it first if this is the job's first pooled stage. Fills
-  /// run.plan->out with the stage's resident output set.
-  void run_pooled_stage(StageRun run);
+  /// Runs one pooled stage (tasks nonempty) through the pool, forking it
+  /// first if this is the job's first pooled stage, and returns the stage's
+  /// resident output set (Engine::run_pooled_stage).
+  std::shared_ptr<PoolSet> run_stage(StageMetrics& stage,
+                                     const PoolStagePlan& plan);
 
   const std::shared_ptr<PoolRegistryCore>& core() const { return core_; }
 

@@ -76,8 +76,9 @@ struct StageMetrics {
   std::size_t worker_respawns = 0;
 
   /// Measured wall-clock seconds the stage's execution took (stamped by
-  /// Engine::run_stage around the executor call; 0 for stages recorded
-  /// without run_stage, e.g. parallelize and in-memory cache stages). This
+  /// Engine::run_stage and run_pooled_stage around the stage's tasks; 0 for
+  /// stages recorded without them, e.g. parallelize and in-memory cache
+  /// stages). This
   /// is what cluster_model's makespan validation compares the priced
   /// schedule against.
   double wall_seconds = 0.0;

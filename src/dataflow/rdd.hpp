@@ -500,20 +500,6 @@ std::string pool_kernel(const PoolTaskCtx& ctx) {
   }(std::index_sequence_for<In...>{});
 }
 
-/// Runs a planned stage on the worker pool and leaves its output resident
-/// in `out`. The pool never calls the body.
-template <typename OutRdd>
-void run_pooled(Engine& engine, StageMetrics& stage, PoolStagePlan& plan,
-                OutRdd& out) {
-  engine.run_stage(
-      stage,
-      [](TaskContext&) {
-        throw std::logic_error("pooled stage body must not execute");
-      },
-      &plan);
-  out.resident = std::move(plan.out);
-}
-
 /// Names where task p's input partition lives: by residency handle when the
 /// upstream set is worker-resident (the zero-copy chain case), otherwise as
 /// inline bytes (chain heads), recorded by the pool for lineage. Tasks past
@@ -591,7 +577,7 @@ auto run_partitions(Engine& engine, const std::string& name, const Fn& fn,
     plan.inputs = [&](std::size_t task) {
       return std::vector<PoolInputRef>{pool_input(in, task)...};
     };
-    run_pooled(engine, stage, plan, out);
+    out.resident = engine.run_pooled_stage(stage, plan);
     return out;
   }
   std::tuple<std::remove_const_t<Ins>...> storage;
@@ -760,7 +746,7 @@ Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,
     plan.inputs = [&in](std::size_t task) {
       return std::vector<PoolInputRef>{detail::pool_input(in, task)};
     };
-    detail::run_pooled(engine, stage, plan, out);
+    out.resident = engine.run_pooled_stage(stage, plan);
     return out;
   }
   Rdd<K, V> stor;

@@ -99,7 +99,7 @@ StringRdd load_keyed_file(Engine& engine, BlockStore& store,
       refs[0].inline_bytes = shared[task];
       return refs;
     };
-    detail::run_pooled(engine, stage, plan, rdd);
+    rdd.resident = engine.run_pooled_stage(stage, plan);
     return rdd;
   }
   engine.run_stage(stage, [&](TaskContext& ctx) {

@@ -49,7 +49,7 @@ struct StageReport {
   std::uint64_t resident_bytes = 0;
   std::uint64_t worker_respawns = 0;
   /// Measured wall-clock seconds of the stage's execution, as stamped by
-  /// Engine::run_stage — what cluster-model makespans are validated against.
+  /// the engine's stage entry points — what cluster-model makespans are validated against.
   double wall_seconds = 0.0;
 
   Json to_json() const;

@@ -1,8 +1,6 @@
 #include "util/csv.hpp"
 
 #include <charconv>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace drapid {
@@ -37,24 +35,6 @@ CsvRow parse_csv_line(std::string_view line, char delim) {
   }
   row.push_back(std::move(field));
   return row;
-}
-
-std::vector<CsvRow> read_csv(std::istream& in, char delim, bool skip_comments) {
-  std::vector<CsvRow> rows;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || (line.size() == 1 && line[0] == '\r')) continue;
-    if (skip_comments && line[0] == '#') continue;
-    rows.push_back(parse_csv_line(line, delim));
-  }
-  return rows;
-}
-
-std::vector<CsvRow> read_csv_file(const std::string& path, char delim,
-                                  bool skip_comments) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open CSV file: " + path);
-  return read_csv(in, delim, skip_comments);
 }
 
 void append_double(std::string& out, double v, int precision) {
@@ -102,18 +82,6 @@ std::string format_csv_row(const CsvRow& row, char delim) {
     out.push_back('"');
   }
   return out;
-}
-
-void write_csv(std::ostream& out, const std::vector<CsvRow>& rows, char delim) {
-  for (const auto& row : rows) out << format_csv_row(row, delim) << '\n';
-}
-
-void write_csv_file(const std::string& path, const std::vector<CsvRow>& rows,
-                    char delim) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write CSV file: " + path);
-  write_csv(out, rows, delim);
-  if (!out) throw std::runtime_error("error while writing CSV file: " + path);
 }
 
 double parse_double(std::string_view text) {

@@ -1,4 +1,4 @@
-// Minimal CSV reading/writing.
+// Minimal CSV line parsing and formatting.
 //
 // The paper's pipeline exchanges every artifact as CSV-ish text files: SPE
 // files emitted by the single-pulse search, cluster files from DBSCAN, and the
@@ -6,7 +6,6 @@
 // gives those formats one tested implementation.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,16 +20,6 @@ using CsvRow = std::vector<std::string>;
 /// them).
 CsvRow parse_csv_line(std::string_view line, char delim = ',');
 
-/// Reads all rows from a stream. Blank lines are skipped. If `skip_comments`
-/// is true, lines starting with '#' are skipped (PRESTO single-pulse files
-/// carry '#' headers).
-std::vector<CsvRow> read_csv(std::istream& in, char delim = ',',
-                             bool skip_comments = true);
-
-/// Reads a CSV file from disk; throws std::runtime_error if unreadable.
-std::vector<CsvRow> read_csv_file(const std::string& path, char delim = ',',
-                                  bool skip_comments = true);
-
 /// Appends `v` spelled exactly as printf("%.*g", precision, v) spells it in
 /// the "C" locale — which is also what a classic-locale ostream with
 /// precision(`precision`) writes — whatever the global locale is. Every
@@ -44,14 +33,6 @@ std::string format_double(double v, int precision = 6);
 
 /// Serializes a row, quoting fields that contain the delimiter or quotes.
 std::string format_csv_row(const CsvRow& row, char delim = ',');
-
-/// Writes rows to a stream, one line per row.
-void write_csv(std::ostream& out, const std::vector<CsvRow>& rows,
-               char delim = ',');
-
-/// Writes rows to a file; throws std::runtime_error on failure.
-void write_csv_file(const std::string& path, const std::vector<CsvRow>& rows,
-                    char delim = ',');
 
 /// Parses a double, throwing std::runtime_error with the offending text on
 /// failure — used so malformed survey files fail loudly with context.

@@ -1,5 +1,5 @@
 // Work-stealing worker pool used by the multithreaded RAPID baseline and the
-// dataflow engine's executor backend.
+// dataflow engine's in-process stages.
 //
 // The pool mirrors the execution model the paper benchmarks against: a fixed
 // number of threads running independent tasks. parallel_for provides the

@@ -1,11 +1,11 @@
-// ProcessExecutor suite: the multi-process backend must be a drop-in
+// Process-backend suite: the multi-process backend must be a drop-in
 // replacement for the in-process pool — byte-identical stage outputs, the
 // same retry accounting under injected task kills, lossless recovery when a
 // whole worker process is SIGKILLed mid-stage, and a teardown that leaves
 // no descriptor or child process behind. Fork-based tests skip themselves
 // under ThreadSanitizer (fork + threads is undefined there); the engine
-// itself falls back to LocalExecutor in those builds.
-#include "dataflow/ipc/process_executor.hpp"
+// itself runs every stage in-process in those builds.
+#include "dataflow/engine.hpp"
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -175,16 +176,22 @@ PipelineConfig gbt350_pipeline() {
 
 TEST(ProcessExecutor, EngineSelectsRequestedBackend) {
   Engine local(local_config());
-  EXPECT_EQ(std::string(local.executor().name()), "local");
+  EXPECT_FALSE(local.pooled());
   if (!process_executor_supported()) {
     Engine fallback(process_config(2));
-    EXPECT_EQ(std::string(fallback.executor().name()), "local")
+    EXPECT_FALSE(fallback.pooled())
         << "unsupported builds must silently fall back";
     return;
   }
   Engine process(process_config(3));
-  EXPECT_EQ(std::string(process.executor().name()), "process");
-  EXPECT_EQ(process.executor().workers(), 3u);
+  EXPECT_TRUE(process.pooled());
+  const auto rdd = parallelize(process, make_pairs(60), 4);
+  map_pairs(
+      process, rdd,
+      [](const std::pair<std::string, std::string>& kv) { return kv; },
+      "xform");
+  EXPECT_EQ(process.metrics().stages.back().workers_used, 3u)
+      << "the first pooled stage forks the requested worker count";
 }
 
 TEST(ProcessExecutor, ShufflePipelineMatchesLocalByteForByte) {
@@ -241,6 +248,102 @@ TEST(ProcessExecutor, InjectedTaskKillsMatchLocalRetryAccounting) {
   EXPECT_EQ(process_stage.total_retries(), local_stage.total_retries());
   EXPECT_EQ(process_stage.worker_deaths, 0u)
       << "injected task kills die inside the child, not the child itself";
+}
+
+// ------------------------------------------ one attempt loop, two backends
+
+/// One fault plan and attempt budget, run as a narrow and as a wide stage.
+struct AttemptCase {
+  std::string name;
+  FaultPlan faults;
+  std::size_t max_attempts = 4;
+  std::size_t partitions = 8;
+  bool throws = false;
+};
+
+/// What one backend's attempt loop left behind for one stage.
+struct AttemptOutcome {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::vector<std::size_t> attempts;
+  std::vector<std::size_t> retry_costs;
+  std::int64_t retries = 0;   ///< engine.task_retries delta
+  std::int64_t failures = 0;  ///< engine.task_failures delta
+  std::string failure;        ///< the TaskFailure text, if the stage threw
+};
+
+AttemptOutcome run_attempt_case(EngineConfig cfg, const AttemptCase& row,
+                                bool wide) {
+  cfg.faults = row.faults;
+  cfg.max_task_attempts = row.max_attempts;
+  auto& retries = obs::global_counters().counter("engine.task_retries");
+  auto& failures = obs::global_counters().counter("engine.task_failures");
+  const std::int64_t retries_before = retries.value();
+  const std::int64_t failures_before = failures.value();
+  AttemptOutcome outcome;
+  Engine engine(cfg);
+  const auto rdd = parallelize(engine, make_pairs(300), row.partitions);
+  const std::string name = wide ? "wide" : "narrow";
+  try {
+    const auto out =
+        wide ? partition_by(engine, rdd, HashPartitioner{6}, name)
+             : map_pairs(
+                   engine, rdd,
+                   [](const std::pair<std::string, std::string>& kv) {
+                     return std::make_pair(kv.first, kv.second + "+");
+                   },
+                   name);
+    outcome.out = out.collect();
+    for (const auto& task : engine.metrics().stages.back().tasks) {
+      outcome.attempts.push_back(task.attempts);
+      outcome.retry_costs.push_back(task.retry_cost);
+    }
+  } catch (const TaskFailure& e) {
+    outcome.failure = e.what();
+  }
+  outcome.retries = retries.value() - retries_before;
+  outcome.failures = failures.value() - failures_before;
+  return outcome;
+}
+
+TEST(ProcessExecutor, AttemptLoopTableMatchesLocal) {
+  DRAPID_REQUIRE_FORK();
+  FaultPlan fail_once;
+  fail_once.fail_once_stages = {"narrow", "wide"};
+  FaultPlan rate;
+  rate.task_failure_rate = 0.3;
+  rate.max_injected_failures_per_task = 2;
+  // The budget-1 row runs one task per stage: with several, which failing
+  // task's error surfaces first (and how many fail before the stage stops)
+  // depends on thread and socket timing on either backend.
+  const std::vector<AttemptCase> rows = {
+      {"fail_once_stages", fail_once},
+      {"rate 0.3, at most 2 kills per task", rate},
+      {"budget 1 under fail_once", fail_once, 1, 1, true},
+  };
+  for (const auto& row : rows) {
+    for (const bool wide : {false, true}) {
+      SCOPED_TRACE(row.name + (wide ? ", wide stage" : ", narrow stage"));
+      const AttemptOutcome local = run_attempt_case(local_config(), row, wide);
+      const AttemptOutcome pool =
+          run_attempt_case(process_config(2), row, wide);
+      EXPECT_GT(local.retries, 0) << "the plan must inject kills";
+      EXPECT_EQ(pool.retries, local.retries);
+      EXPECT_EQ(pool.failures, local.failures);
+      EXPECT_EQ(pool.failure, local.failure);
+      if (row.throws) {
+        EXPECT_EQ(local.failure,
+                  "task failed permanently after 1 attempts: stage=" +
+                      std::string(wide ? "wide" : "narrow") + " partition=0");
+        EXPECT_EQ(local.failures, 1);
+        continue;
+      }
+      EXPECT_TRUE(local.failure.empty()) << local.failure;
+      EXPECT_EQ(local.failures, 0);
+      EXPECT_EQ(pool.attempts, local.attempts);
+      EXPECT_EQ(pool.retry_costs, local.retry_costs);
+      EXPECT_TRUE(pool.out == local.out) << "pooled output differs";
+    }
+  }
 }
 
 TEST(ProcessExecutor, WorkerDeathRecoversByteIdentically) {
@@ -567,6 +670,49 @@ TEST(WorkerPoolMode, LargeChainHeadsSurvivePartialWritesAndWorkerDeath) {
   }
 }
 
+TEST(WorkerPoolMode, FailedTaskIsReportedBeforeItsWorkersExit) {
+  DRAPID_REQUIRE_FORK();
+  // Each worker's first task fails permanently; the worker reports it and
+  // exits while the parent is still sending it 1 MiB chain heads for its
+  // next tasks. A send that fails on the exited worker must not turn the
+  // exit into a worker death: the failure frame is read first, and the job
+  // fails with the task's own error, as it does on the local backend.
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (std::size_t i = 0; i < 256; ++i) {
+    pairs.emplace_back("key" + std::to_string(i),
+                       std::string(128 << 10, static_cast<char>('a' + i % 26)));
+  }
+  for (int run = 0; run < 5; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    EngineConfig cfg = process_config(4);
+    cfg.max_task_attempts = 1;
+    cfg.faults.fail_once_stages = {"bulk"};
+    auto& counters = obs::global_counters();
+    const std::int64_t deaths =
+        counters.counter("engine.worker_deaths").value();
+    const std::int64_t retries =
+        counters.counter("engine.task_retries").value();
+    Engine engine(cfg);
+    const auto rdd = parallelize(engine, pairs, 32);
+    try {
+      map_pairs(
+          engine, rdd,
+          [](const std::pair<std::string, std::string>& kv) { return kv; },
+          "bulk");
+      FAIL() << "every task's only attempt is killed";
+    } catch (const TaskFailure& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "task failed permanently after 1 attempts: stage=bulk "
+                    "partition=",
+                    0),
+                0u)
+          << e.what();
+    }
+    EXPECT_EQ(counters.counter("engine.worker_deaths").value() - deaths, 0);
+    EXPECT_EQ(counters.counter("engine.task_retries").value() - retries, 1);
+  }
+}
+
 // ----------------------------------------------- one shuffle, two backends
 
 /// One partition_by, run on the local backend and on the pool.
@@ -648,6 +794,33 @@ TEST(WorkerPoolMode, ShuffleTableMatchesLocal) {
       {"resident input, worker killed", 600, 9, 8, 90, true, true},
   };
   for (const auto& row : rows) expect_shuffle_matches(row, shuffle_pairs(row));
+}
+
+TEST(WorkerPoolMode, LostWideTargetsRebuildInOneRoutingPass) {
+  DRAPID_REQUIRE_FORK();
+  // Worker 0 dies mid-shuffle, so none of its targets (every other one of
+  // 16) is ever assembled. The first collect of one of them re-routes every
+  // source once and rebuilds them all; the rest are parent copies.
+  const HashPartitioner part{16};
+  const auto run = [&part](EngineConfig cfg) {
+    Engine engine(cfg);
+    auto out = partition_by(engine, parallelize(engine, make_pairs(900), 6),
+                            part, "shuffle");
+    auto& rebuilds = obs::global_counters().counter("engine.pool_rebuilds");
+    const std::int64_t before = rebuilds.value();
+    ensure_local(out);
+    return std::make_tuple(std::move(out.partitions),
+                           rebuilds.value() - before,
+                           engine.metrics().total_worker_deaths());
+  };
+  const auto [local_parts, local_rebuilds, local_deaths] = run(local_config());
+  EngineConfig cfg = process_config(2);
+  cfg.faults.kill_workers.push_back({"shuffle", 0});
+  const auto [pool_parts, pool_rebuilds, pool_deaths] = run(cfg);
+  EXPECT_TRUE(pool_parts == local_parts) << "rebuilt targets differ";
+  EXPECT_EQ(pool_deaths, 1u) << "the planned kill must fire";
+  EXPECT_EQ(pool_rebuilds, 1) << "one rebuild per lost set, not per target";
+  EXPECT_EQ(local_rebuilds, 0);
 }
 
 TEST(WorkerPoolMode, TypedShuffleMatchesLocal) {

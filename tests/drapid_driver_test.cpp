@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <string>
 
-#include "dataflow/ipc/process_executor.hpp"
+#include "dataflow/engine.hpp"
 #include "drapid/pipeline.hpp"
 #include "obs/counters.hpp"
 #include "rapid/multithreaded.hpp"

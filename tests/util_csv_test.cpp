@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <stdexcept>
 
 namespace drapid {
 namespace {
@@ -44,34 +42,6 @@ TEST(CsvRoundTrip, FormatThenParseIsIdentity) {
   const CsvRow original{"plain", "with,comma", "with\"quote", "", "end"};
   const CsvRow parsed = parse_csv_line(format_csv_row(original));
   EXPECT_EQ(parsed, original);
-}
-
-TEST(CsvRead, SkipsBlankAndCommentLines) {
-  std::istringstream in("# header\n\na,b\n\n# trailing\nc,d\n");
-  const auto rows = read_csv(in);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][0], "a");
-  EXPECT_EQ(rows[1][1], "d");
-}
-
-TEST(CsvRead, KeepsCommentsWhenAsked) {
-  std::istringstream in("# header\na,b\n");
-  const auto rows = read_csv(in, ',', /*skip_comments=*/false);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0][0], "# header");
-}
-
-TEST(CsvFile, WriteThenReadRoundTrips) {
-  const std::string path = ::testing::TempDir() + "/drapid_csv_test.csv";
-  const std::vector<CsvRow> rows{{"1", "2.5", "x"}, {"4", "5.5", "y"}};
-  write_csv_file(path, rows);
-  const auto back = read_csv_file(path);
-  EXPECT_EQ(back, rows);
-  std::remove(path.c_str());
-}
-
-TEST(CsvFile, MissingFileThrows) {
-  EXPECT_THROW(read_csv_file("/nonexistent/dir/file.csv"), std::runtime_error);
 }
 
 TEST(ParseNumbers, AcceptsPaddedAndRejectsGarbage) {

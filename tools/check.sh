@@ -62,9 +62,10 @@ fi
 
 # Fork-based suites are safe to list here: fork() after threads exist is
 # undefined under TSan, so process_executor_supported() reports false in
-# TSan builds — the engine falls back to LocalExecutor and the fork-only
-# tests GTEST_SKIP themselves instead of hanging the run. What remains
-# (wire codecs, ExecPolicy, backend fallback) still runs under TSan.
+# TSan builds — the engine builds no worker pool and runs every stage
+# in-process, and the fork-only tests GTEST_SKIP themselves instead of
+# hanging the run. What remains (wire codecs, ExecPolicy, backend
+# fallback) still runs under TSan.
 TSAN_TARGETS=(
   util_thread_pool_test
   util_thread_pool_stress_test
