@@ -218,6 +218,10 @@ class Engine {
   /// The tracer this engine records into (config().tracer or the global).
   obs::Tracer& tracer() { return tracer_; }
 
+  /// This engine's own directory for spill and shuffle files; it goes when
+  /// the engine dies.
+  const std::string& spill_dir() const { return spill_dir_; }
+
   /// Unique path for one spill file; files live until the engine dies.
   std::string next_spill_path();
 

@@ -26,7 +26,7 @@
 namespace drapid {
 
 /// Type-erased context a pool kernel runs under in the worker (or in the
-/// parent, when rebuilding a lost partition from lineage).
+/// parent, when rebuilding a lost narrow partition from lineage).
 struct PoolTaskCtx {
   std::size_t partition = 0;  ///< task index within the stage
   /// The stage state as the transformation encoded it (ipc::encode_value).
@@ -46,9 +46,11 @@ using PoolKernelFn = std::string (*)(const PoolTaskCtx&);
 class PoolRegistryCore;
 
 /// Handle to one worker-resident partition set. Rdds carry it via
-/// shared_ptr; lineage parents are kept alive through `upstream` so a lost
-/// partition can always be rebuilt. The destructor releases the set's
-/// worker-side bytes (through the registry, if it still exists).
+/// shared_ptr; a narrow set keeps its lineage parents alive through
+/// `upstream` so a lost partition can always be rebuilt, while a wide set's
+/// lineage is its shuffle files and keeps none. The destructor releases the
+/// set's worker-side bytes and files (through the registry, if it still
+/// exists).
 struct PoolSet {
   std::uint64_t id = 0;
   std::weak_ptr<PoolRegistryCore> core;

@@ -12,13 +12,14 @@
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
-#include <map>
+#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
 #include "dataflow/engine.hpp"
 #include "dataflow/ipc/wire.hpp"
 #include "obs/counters.hpp"
+#include "util/sealed_file.hpp"
 
 namespace drapid {
 
@@ -54,56 +55,6 @@ bool write_all(int fd, const char* data, std::size_t size) {
 }
 
 // ---------------------------------------------------------------------------
-// Wide-stage segment bundles. A wide kernel (detail::route_kernel) returns
-// its routed output as
-//   u64 num_targets, then per target: u64 record_count, u64 seg_size, bytes
-// where the segment bytes are the target's records encoded back to back
-// (no count prefix). A target partition is assembled (TargetAssembly) as
-//   u64 total_count + concat(segments in source order)
-// which is byte-identical to ipc::encode_payload of the same records — the
-// layout the local backend gives the same runs.
-
-struct BundleSeg {
-  std::uint64_t count = 0;
-  const char* data = nullptr;
-  std::size_t size = 0;
-};
-
-std::vector<BundleSeg> parse_bundle(const std::string& bundle) {
-  WireReader r(bundle);
-  const std::uint64_t n = r.get_u64();
-  std::vector<BundleSeg> segs(static_cast<std::size_t>(n));
-  for (auto& seg : segs) {
-    seg.count = r.get_u64();
-    const std::uint64_t size = r.get_u64();
-    seg.data = r.get_bytes(static_cast<std::size_t>(size));
-    seg.size = static_cast<std::size_t>(size);
-  }
-  if (!r.done()) throw ipc::WireError("segment bundle has trailing bytes");
-  return segs;
-}
-
-/// One wide target partition, assembled from its segments added in source
-/// order: by the owning worker at kStageEnd and by a lineage rebuild alike.
-class TargetAssembly {
- public:
-  void add(std::uint64_t count, const char* data, std::size_t size) {
-    records_ += count;
-    bytes_.append(data, size);
-  }
-  std::uint64_t records() const { return records_; }
-  /// The resident partition bytes; the assembly is spent afterwards.
-  std::string take() {
-    std::memcpy(bytes_.data(), &records_, sizeof(records_));
-    return std::move(bytes_);
-  }
-
- private:
-  std::string bytes_ = std::string(sizeof(std::uint64_t), '\0');
-  std::uint64_t records_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Child side. Runs in the forked worker only; communicates exclusively over
 // its socket. Never returns, never calls exit() — _exit() skips atexit
 // handlers and stdio flushes that belong to the parent.
@@ -123,17 +74,11 @@ struct ChildState {
   std::size_t slot = 0;
   const FaultInjector* faults = nullptr;
   ChildStage stage;
+  std::string shuffle_dir;  ///< the engine's spill directory
   /// Resident partitions: set id -> partition -> serialized payload.
   std::unordered_map<std::uint64_t,
                      std::unordered_map<std::uint64_t, std::string>>
       resident;
-  /// Staged wide segments: set id -> (target, source) -> (count, bytes).
-  /// An ordered map so assembly walks sources in order with one range scan.
-  std::unordered_map<
-      std::uint64_t,
-      std::map<std::pair<std::uint64_t, std::uint64_t>,
-               std::pair<std::uint64_t, std::string>>>
-      staging;
 };
 
 bool child_send(ChildState& st, const TaskFrame& frame) {
@@ -266,92 +211,46 @@ void child_handle_assign(ChildState& st, const FrameView& frame) {
     ::_exit(0);
   }
 
-  if (!stage.wide) {
-    // Narrow: the output partition stays here. The result frame carries the
-    // metrics plus the resident size (for the coordinator's gauges) — not
-    // the data.
-    WireWriter w;
+  // Narrow: the output partition stays here, and the result frame carries
+  // the metrics plus the resident size (for the coordinator's gauges), not
+  // the data. Wide: the routed segments go to this source's shuffle files,
+  // which the owners read at kStageEnd.
+  WireWriter w;
+  if (stage.wide) {
+    pooldetail::write_shuffle_files(st.shuffle_dir, stage.out_set, p,
+                                    stage.nworkers, out);
+  } else {
     w.put_u64(out.size());
-    reply.kind = FrameKind::kResult;
-    reply.metrics = task;
-    reply.payload = w.take();
     st.resident[stage.out_set][p] = std::move(out);
-    if (!child_send(st, reply)) ::_exit(1);
-    return;
-  }
-
-  // Wide: split the bundle. Own targets go straight to staging; the rest
-  // are pushed for the parent to relay to their owners.
-  const std::vector<BundleSeg> segs = parse_bundle(out);
-  for (std::size_t t = 0; t < segs.size(); ++t) {
-    const BundleSeg& seg = segs[t];
-    if (t % stage.nworkers == st.slot) {
-      st.staging[stage.out_set][{t, p}] = {
-          seg.count, std::string(seg.data, seg.size)};
-      continue;
-    }
-    if (seg.count == 0 && seg.size == 0) continue;  // nothing to ship
-    TaskFrame push;
-    push.kind = FrameKind::kShufflePush;
-    push.partition = p;
-    WireWriter meta;
-    meta.put_u64(stage.out_set);
-    meta.put_u64(t);
-    meta.put_u64(p);
-    meta.put_u64(seg.count);
-    meta.put_u64(seg.size);
-    const ipc::FrameSpan spans[2] = {
-        {meta.buffer().data(), meta.buffer().size()}, {seg.data, seg.size}};
-    if (!child_send_parts(st, push, spans, 2)) ::_exit(1);
   }
   reply.kind = FrameKind::kResult;
   reply.metrics = task;
+  reply.payload = w.take();
   if (!child_send(st, reply)) ::_exit(1);
 }
 
-void child_handle_push(ChildState& st, const FrameView& frame) {
-  WireReader r(frame.payload, frame.payload_size);
-  const std::uint64_t set = r.get_u64();
-  const std::uint64_t target = r.get_u64();
-  const std::uint64_t source = r.get_u64();
-  const std::uint64_t count = r.get_u64();
-  const std::uint64_t size = r.get_u64();
-  const char* data = r.get_bytes(static_cast<std::size_t>(size));
-  // Overwrite, not append: a re-relayed segment from a retried source must
-  // land idempotently (kernels are deterministic, so the bytes match).
-  st.staging[set][{target, source}] = {
-      count, std::string(data, static_cast<std::size_t>(size))};
-}
-
-/// The stage's own kStageBegin named its set and kind; the frame lists the
-/// wide targets this worker assembles (none for a narrow stage).
+/// The barrier. A wide stage's frame names its source and target counts, and
+/// this worker assembles the targets it owns from the stage's shuffle files;
+/// a narrow stage's names no targets.
 void child_handle_stage_end(ChildState& st, const FrameView& frame) {
   WireReader r(frame.payload, frame.payload_size);
-  const std::uint64_t set = st.stage.out_set;
+  const std::size_t sources = static_cast<std::size_t>(r.get_u64());
+  const std::size_t targets = static_cast<std::size_t>(r.get_u64());
+  const ChildStage& stage = st.stage;
+  std::vector<pooldetail::TargetAssembly> owned = pooldetail::assemble_targets(
+      st.shuffle_dir, stage.out_set, sources, stage.nworkers, st.slot,
+      targets);
+  WireWriter w;
+  w.put_u64(owned.size());
+  for (std::size_t i = 0; i < owned.size(); ++i) {
+    const std::size_t t = st.slot + i * stage.nworkers;
+    w.put_u64(t);
+    w.put_u64(owned[i].bytes.size());
+    w.put_u64(owned[i].records);
+    st.resident[stage.out_set][t] = std::move(owned[i].bytes);
+  }
   TaskFrame ack;
   ack.kind = FrameKind::kAck;
-  WireWriter w;
-  const std::uint64_t nassemble = r.get_u64();
-  w.put_u64(nassemble);
-  auto& staged = st.staging[set];
-  for (std::uint64_t i = 0; i < nassemble; ++i) {
-    const std::uint64_t t = r.get_u64();
-    TargetAssembly assembly;
-    const auto lo = staged.lower_bound({t, 0});
-    const auto hi = staged.lower_bound({t + 1, 0});
-    for (auto it = lo; it != hi; ++it) {
-      const auto& [count, bytes] = it->second;
-      assembly.add(count, bytes.data(), bytes.size());
-    }
-    staged.erase(lo, hi);
-    const std::uint64_t records = assembly.records();
-    std::string& assembled = st.resident[set][t] = assembly.take();
-    w.put_u64(t);
-    w.put_u64(assembled.size());
-    w.put_u64(records);
-  }
-  // Whatever is left was staged for targets the parent rebuilds instead.
-  st.staging.erase(set);
   ack.payload = w.take();
   if (!child_send(st, ack)) ::_exit(1);
 }
@@ -389,12 +288,14 @@ void child_handle_fetch(ChildState& st, const FrameView& frame) {
 }
 
 [[noreturn]] void child_main(int fd, std::size_t slot,
-                             const FaultInjector& faults) {
+                             const FaultInjector& faults,
+                             const std::string& shuffle_dir) {
   ::signal(SIGPIPE, SIG_IGN);
   ChildState st;
   st.fd = fd;
   st.slot = slot;
   st.faults = &faults;
+  st.shuffle_dir = shuffle_dir;
   pooldetail::RecvBuffer buffer;
   while (true) {
     const ssize_t n = buffer.read_from(fd);
@@ -418,9 +319,6 @@ void child_handle_fetch(ChildState& st, const FrameView& frame) {
           case FrameKind::kTaskAssign:
             child_handle_assign(st, frame);
             break;
-          case FrameKind::kShufflePush:
-            child_handle_push(st, frame);
-            break;
           case FrameKind::kStageEnd:
             child_handle_stage_end(st, frame);
             break;
@@ -431,7 +329,6 @@ void child_handle_fetch(ChildState& st, const FrameView& frame) {
             WireReader r(frame.payload, frame.payload_size);
             const std::uint64_t set = r.get_u64();
             st.resident.erase(set);
-            st.staging.erase(set);
             break;
           }
           case FrameKind::kShutdown:
@@ -491,6 +388,114 @@ void RecvBuffer::clear() {
   cap_ = begin_ = end_ = 0;
 }
 
+// ---------------------------------------------------------------------------
+// Shuffle files: a wide stage's map outputs. The routing kernel returns its
+// output as a segment bundle (detail::encode_bundle):
+//   u64 num_targets, then per target: u64 record_count, u64 seg_size, bytes
+// where the segment bytes are the target's records encoded back to back (no
+// count prefix). The source task splits it by owning slot into sealed files
+// (util/sealed_file.hpp), one per (source, slot), whose body is
+//   u64 num_segments, then per nonempty segment: u64 target,
+//   u64 record_count, u64 seg_size, bytes
+// A target is assembled as u64 total_count + concat(its segments in source
+// order), byte-identical to ipc::encode_payload of the same records.
+
+namespace {
+
+/// "DRSHUFF2"; like the spill magic, the digit names the container's
+/// checksum version.
+constexpr std::uint64_t kShuffleMagic = 0x3246465548535244ULL;
+
+std::string shuffle_path(const std::string& dir, std::uint64_t set,
+                         std::size_t source, std::size_t slot) {
+  return dir + "/shuffle_" + std::to_string(set) + "_" +
+         std::to_string(source) + "_" + std::to_string(slot) + ".bin";
+}
+
+}  // namespace
+
+void write_shuffle_files(const std::string& dir, std::uint64_t set,
+                         std::size_t source, std::size_t workers,
+                         const std::string& bundle) {
+  std::vector<WireWriter> bodies(workers);
+  std::vector<std::uint64_t> segments(workers, 0);
+  for (auto& body : bodies) body.put_u64(0);  // the count, patched below
+  WireReader r(bundle);
+  const std::uint64_t targets = r.get_u64();
+  for (std::uint64_t t = 0; t < targets; ++t) {
+    const std::uint64_t count = r.get_u64();
+    const std::uint64_t size = r.get_u64();
+    const char* data = r.get_bytes(static_cast<std::size_t>(size));
+    if (count == 0 && size == 0) continue;
+    WireWriter& body = bodies[t % workers];
+    body.put_u64(t);
+    body.put_u64(count);
+    body.put_u64(size);
+    body.put_bytes(data, static_cast<std::size_t>(size));
+    segments[t % workers] += 1;
+  }
+  if (!r.done()) throw ipc::WireError("segment bundle has trailing bytes");
+  for (std::size_t slot = 0; slot < workers; ++slot) {
+    std::string body = bodies[slot].take();
+    std::memcpy(body.data(), &segments[slot], sizeof(std::uint64_t));
+    const std::string path = shuffle_path(dir, set, source, slot);
+    try {
+      write_sealed(path, kShuffleMagic, body);
+    } catch (const SealedFileError& e) {
+      throw std::runtime_error("shuffle file " + path + ": " + e.what());
+    }
+  }
+}
+
+std::vector<TargetAssembly> assemble_targets(const std::string& dir,
+                                             std::uint64_t set,
+                                             std::size_t sources,
+                                             std::size_t workers,
+                                             std::size_t slot,
+                                             std::size_t targets) {
+  std::vector<TargetAssembly> owned(
+      slot < targets ? (targets - slot + workers - 1) / workers : 0);
+  if (owned.empty()) return owned;
+  for (auto& target : owned) target.bytes.assign(sizeof(std::uint64_t), '\0');
+  for (std::size_t source = 0; source < sources; ++source) {
+    const std::string path = shuffle_path(dir, set, source, slot);
+    try {
+      const std::string body = read_sealed(path, kShuffleMagic);
+      WireReader r(body);
+      for (std::uint64_t n = r.get_u64(); n > 0; --n) {
+        const std::uint64_t t = r.get_u64();
+        const std::uint64_t count = r.get_u64();
+        const std::uint64_t size = r.get_u64();
+        const char* data = r.get_bytes(static_cast<std::size_t>(size));
+        if (t >= targets || t % workers != slot) {
+          throw ipc::WireError("segment for target " + std::to_string(t) +
+                               ", which the file's slot does not own");
+        }
+        TargetAssembly& target = owned[t / workers];
+        target.records += count;
+        target.bytes.append(data, static_cast<std::size_t>(size));
+      }
+      if (!r.done()) throw ipc::WireError("trailing bytes");
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error("shuffle file " + path + ": " + e.what());
+    }
+  }
+  for (auto& target : owned) {
+    std::memcpy(target.bytes.data(), &target.records, sizeof(target.records));
+  }
+  return owned;
+}
+
+void remove_shuffle_files(const std::string& dir, std::uint64_t set,
+                          std::size_t sources, std::size_t workers) {
+  std::error_code ec;  // best effort: the directory goes with the engine
+  for (std::size_t source = 0; source < sources; ++source) {
+    for (std::size_t slot = 0; slot < workers; ++slot) {
+      std::filesystem::remove(shuffle_path(dir, set, source, slot), ec);
+    }
+  }
+}
+
 }  // namespace pooldetail
 
 // ---------------------------------------------------------------------------
@@ -536,8 +541,7 @@ std::string PoolRegistryCore::fetch(std::uint64_t set, std::size_t partition) {
     std::string bytes;
     if (pool_->fetch_from_worker(static_cast<std::size_t>(part.owner), set,
                                  partition, bytes)) {
-      // Cache the parent copy: recovery paths (wide rebuilds especially)
-      // re-read the same source partitions many times.
+      // Cache the parent copy: narrow rebuilds may read it again.
       part.parent_bytes = std::move(bytes);
       return part.parent_bytes;
     }
@@ -550,64 +554,44 @@ std::string PoolRegistryCore::rebuild(std::uint64_t set,
                                       std::size_t partition) {
   pooldetail::SetState& s = sets_.at(set);
   obs::global_counters().add("engine.pool_rebuilds");
-  // Chain-head bytes are read in place; other sets' partitions are fetched
-  // into `storage`.
-  const auto input_bytes = [&](const pooldetail::StoredInput& in,
-                               std::string& storage) -> const std::string* {
-    if (in.set == 0) return in.bytes.get();
-    storage = fetch(in.set, in.partition);
-    return &storage;
-  };
+  if (s.kind == PoolStagePlan::Kind::kWide) {
+    // The set's lineage is its shuffle files. The dead owner took every
+    // target of its slot with it; they come back together, assembled from
+    // the slot's files by the routine owners run at kStageEnd.
+    const std::size_t workers = pool_->nworkers_;
+    const std::size_t slot = partition % workers;
+    std::vector<pooldetail::TargetAssembly> rebuilt =
+        pooldetail::assemble_targets(pool_->engine_.spill_dir(), set,
+                                     s.sources, workers, slot, s.parts.size());
+    for (std::size_t i = 0; i < rebuilt.size(); ++i) {
+      pooldetail::PartState& part = s.parts[slot + i * workers];
+      part.records = static_cast<std::size_t>(rebuilt[i].records);
+      part.parent_bytes = std::move(rebuilt[i].bytes);
+      part.bytes = part.parent_bytes.size();
+    }
+    return s.parts[partition].parent_bytes;
+  }
+  // Narrow: re-run the task's kernel. Chain-head bytes are read in place;
+  // other sets' partitions are fetched.
+  const auto& refs = s.task_inputs.at(partition);
+  std::vector<std::string> fetched(refs.size());
   TaskMetrics scratch;  // lineage rebuilds charge no attempts, draw no faults
-  if (s.kind == PoolStagePlan::Kind::kNarrow) {
-    const auto& refs = s.task_inputs.at(partition);
-    std::vector<std::string> fetched(refs.size());
-    PoolTaskCtx ctx;
-    ctx.partition = partition;
-    ctx.state = &s.state;
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      ctx.inputs.push_back(input_bytes(refs[i], fetched[i]));
+  PoolTaskCtx ctx;
+  ctx.partition = partition;
+  ctx.state = &s.state;
+  ctx.metrics = &scratch;
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    if (refs[i].set == 0) {
+      ctx.inputs.push_back(refs[i].bytes.get());
+      continue;
     }
-    ctx.metrics = &scratch;
-    pooldetail::PartState& part = s.parts.at(partition);
-    part.parent_bytes = s.kernel(ctx);
-    part.bytes = part.parent_bytes.size();
-    return part.parent_bytes;
+    fetched[i] = fetch(refs[i].set, refs[i].partition);
+    ctx.inputs.push_back(&fetched[i]);
   }
-  // Wide: every target of the set on no live worker and without a parent
-  // copy is lost with this one. Re-run every source's routing kernel once
-  // and assemble all of them, each from its segments in source order,
-  // exactly as the owning workers would have.
-  std::vector<std::size_t> lost;
-  for (std::size_t t = 0; t < s.parts.size(); ++t) {
-    const pooldetail::PartState& part = s.parts[t];
-    if (t == partition || (part.owner == pooldetail::PartState::kNone &&
-                           part.parent_bytes.empty())) {
-      lost.push_back(t);
-    }
-  }
-  std::vector<TargetAssembly> assemblies(lost.size());
-  for (std::size_t src = 0; src < s.task_inputs.size(); ++src) {
-    std::string fetched;
-    PoolTaskCtx ctx;
-    ctx.partition = src;
-    ctx.state = &s.state;
-    ctx.inputs.push_back(input_bytes(s.task_inputs[src].at(0), fetched));
-    ctx.metrics = &scratch;
-    const std::string bundle = s.kernel(ctx);
-    const std::vector<BundleSeg> segs = parse_bundle(bundle);
-    for (std::size_t i = 0; i < lost.size(); ++i) {
-      const BundleSeg& seg = segs.at(lost[i]);
-      assemblies[i].add(seg.count, seg.data, seg.size);
-    }
-  }
-  for (std::size_t i = 0; i < lost.size(); ++i) {
-    pooldetail::PartState& part = s.parts[lost[i]];
-    part.records = static_cast<std::size_t>(assemblies[i].records());
-    part.parent_bytes = assemblies[i].take();
-    part.bytes = part.parent_bytes.size();
-  }
-  return s.parts[partition].parent_bytes;
+  pooldetail::PartState& part = s.parts.at(partition);
+  part.parent_bytes = s.kernel(ctx);
+  part.bytes = part.parent_bytes.size();
+  return part.parent_bytes;
 }
 
 std::size_t PoolRegistryCore::set_estimated_bytes(std::uint64_t set) const {
@@ -623,8 +607,11 @@ std::size_t PoolRegistryCore::set_records(std::uint64_t set,
 }
 
 void PoolRegistryCore::release(std::uint64_t set) {
-  if (sets_.erase(set) == 0) return;
-  if (pool_ != nullptr) pool_->release_on_workers(set);
+  const auto it = sets_.find(set);
+  if (it == sets_.end()) return;
+  const std::size_t sources = it->second.sources;
+  sets_.erase(it);
+  if (pool_ != nullptr) pool_->release(set, sources);
 }
 
 // ---------------------------------------------------------------------------
@@ -704,7 +691,7 @@ void WorkerPool::spawn(PoolWorker& w) {
   }
   if (pid == 0) {
     for (int fd : close_fds) ::close(fd);
-    child_main(fds[1], w.slot, engine_.faults_);
+    child_main(fds[1], w.slot, engine_.faults_, engine_.spill_dir());
   }
   ::close(fds[1]);
   // Parent side is nonblocking both ways: the pump must never block in a
@@ -782,7 +769,7 @@ void WorkerPool::handle_death(PoolWorker& w) {
   ctx.stage_deaths[slot] += 1;
   if (ctx.ending) {
     // All tasks were absorbed before the barrier; nothing to re-run. Its
-    // owned wide targets just lost their assembler — lineage covers them.
+    // wide targets are reassembled from the shuffle files when next read.
     ctx.acked[slot] = true;
     return;
   }
@@ -940,7 +927,7 @@ void WorkerPool::read_and_dispatch(PoolWorker& w) {
       handle_death(w);
       return;
     }
-    dispatch_frame(w, frame, w.inbuf.data(), consumed);
+    dispatch_frame(w, frame, consumed);
     // A dispatch that retired this slot also dropped its buffer.
     if (!w.alive || w.fd != fd) return;
     w.inbuf.consume(consumed);
@@ -948,7 +935,7 @@ void WorkerPool::read_and_dispatch(PoolWorker& w) {
 }
 
 void WorkerPool::dispatch_frame(PoolWorker& w, const FrameView& frame,
-                                const char* raw, std::size_t consumed) {
+                                std::size_t consumed) {
   count_ipc(consumed);
   switch (frame.kind) {
     case FrameKind::kError: {
@@ -1004,25 +991,6 @@ void WorkerPool::dispatch_frame(PoolWorker& w, const FrameView& frame,
       }
       pending.erase(it);
       ctx.completed += 1;
-      break;
-    }
-
-    case FrameKind::kShufflePush: {
-      if (ctx_ == nullptr || !ctx_->wide) {
-        throw std::runtime_error("worker pool: stray shuffle push");
-      }
-      // Only the target is read; the payload stays in the receive buffer.
-      ipc::WireReader r(frame.payload, frame.payload_size);
-      r.get_u64();  // set (the in-flight stage's out set)
-      const std::uint64_t target = r.get_u64();
-      const std::size_t owner = static_cast<std::size_t>(target) % nworkers_;
-      // Relay the verified frame bytes verbatim — one copy, out of the
-      // receive buffer, no re-encode. Slots that already died this stage
-      // get nothing: their targets lost earlier segments with the old
-      // incarnation and will be parent-rebuilt.
-      if (ctx_->stage_deaths[owner] == 0) {
-        enqueue(workers_[owner], std::string(raw, consumed));
-      }
       break;
     }
 
@@ -1171,24 +1139,14 @@ void WorkerPool::send_assign(PoolWorker& w, std::size_t task,
   enqueue(w, std::move(chunks));
 }
 
-void WorkerPool::send_stage_end(PoolWorker& w) {
-  StageCtx& ctx = *ctx_;
+void WorkerPool::broadcast(FrameKind kind, std::string payload) {
   ipc::TaskFrame frame;
-  frame.kind = FrameKind::kStageEnd;
-  // Owned wide targets to assemble — but only for a slot whose incarnation
-  // survived the whole stage; a replacement is missing segments relayed to
-  // its predecessor, so its targets fall to the parent rebuild path.
-  std::vector<std::uint64_t> targets;
-  if (ctx.wide && ctx.stage_deaths[w.slot] == 0) {
-    for (std::size_t t = w.slot; t < ctx.nparts; t += nworkers_) {
-      targets.push_back(t);
-    }
+  frame.kind = kind;
+  frame.payload = std::move(payload);
+  const std::string bytes = ipc::encode_frame(frame);
+  for (auto& w : workers_) {
+    if (w.alive) enqueue(w, bytes);
   }
-  WireWriter pw;
-  pw.put_u64(targets.size());
-  for (const std::uint64_t t : targets) pw.put_u64(t);
-  frame.payload = pw.take();
-  enqueue(w, ipc::encode_frame(frame));
 }
 
 void WorkerPool::drain_reassign() {
@@ -1232,15 +1190,17 @@ std::shared_ptr<PoolSet> WorkerPool::run_stage(StageMetrics& stage,
   ctx.need_reassign.assign(nworkers_, false);
   ctx.acked.assign(nworkers_, false);
 
-  // Register the output set up front: lineage (kernel + state + input
-  // refs) is recorded before anything runs, so recovery never depends on
-  // the stage having finished.
+  // Register the output set up front: lineage is recorded before anything
+  // runs, so recovery never depends on the stage having finished. A narrow
+  // set's is its kernel, state and input refs; a wide set's is its shuffle
+  // files, so it records no inputs and keeps no upstream set alive.
   ctx.out_set = core_->next_id_++;
   pooldetail::SetState& out = core_->sets_[ctx.out_set];
   out.kind = plan.kind;
   out.kernel = plan.kernel;
   out.state = plan.state;
-  out.task_inputs.resize(ctx.ntasks);
+  out.task_inputs.resize(ctx.wide ? 0 : ctx.ntasks);
+  out.sources = ctx.wide ? ctx.ntasks : 0;
   out.parts.resize(ctx.nparts);
   ctx.out_state = &out;
 
@@ -1253,6 +1213,16 @@ std::shared_ptr<PoolSet> WorkerPool::run_stage(StageMetrics& stage,
     std::size_t slot = p % nworkers_;
     bool placed = false;
     for (const auto& ref : ctx.inputs[p]) {
+      if (ref.set && !placed) {
+        const pooldetail::PartState& part =
+            core_->sets_.at(ref.set->id).parts.at(ref.partition);
+        if (part.owner >= 0 &&
+            workers_[static_cast<std::size_t>(part.owner)].alive) {
+          slot = static_cast<std::size_t>(part.owner);
+          placed = true;
+        }
+      }
+      if (ctx.wide) continue;
       pooldetail::StoredInput in;
       if (ref.set) {
         in.set = ref.set->id;
@@ -1260,15 +1230,6 @@ std::shared_ptr<PoolSet> WorkerPool::run_stage(StageMetrics& stage,
         bool known = false;
         for (const auto& u : upstream) known = known || u->id == ref.set->id;
         if (!known) upstream.push_back(ref.set);
-        if (!placed) {
-          const pooldetail::PartState& part =
-              core_->sets_.at(ref.set->id).parts.at(ref.partition);
-          if (part.owner >= 0 &&
-              workers_[static_cast<std::size_t>(part.owner)].alive) {
-            slot = static_cast<std::size_t>(part.owner);
-            placed = true;
-          }
-        }
       } else {
         in.bytes = ref.inline_bytes;  // the sent buffer itself, shared
       }
@@ -1302,12 +1263,14 @@ std::shared_ptr<PoolSet> WorkerPool::run_stage(StageMetrics& stage,
       if (ctx.completed >= ctx.ntasks) break;
       pump();
     }
-    // Barrier: narrow workers just ack; wide owners assemble their staged
-    // segments into resident target partitions and report sizes.
+    // Barrier: narrow workers just ack. In a wide stage every live worker,
+    // a replacement forked mid-stage too, assembles the targets it owns from
+    // the shuffle files into resident partitions and reports their sizes.
     ctx.ending = true;
-    for (auto& w : workers_) {
-      if (w.alive) send_stage_end(w);
-    }
+    WireWriter end;
+    end.put_u64(ctx.ntasks);
+    end.put_u64(ctx.wide ? ctx.nparts : 0);
+    broadcast(FrameKind::kStageEnd, end.take());
     const auto barrier_done = [&]() {
       for (const auto& w : workers_) {
         if (w.alive && !ctx.acked[w.slot]) return false;
@@ -1317,8 +1280,8 @@ std::shared_ptr<PoolSet> WorkerPool::run_stage(StageMetrics& stage,
     while (!barrier_done()) pump();
   } catch (...) {
     ctx_ = nullptr;
-    core_->sets_.erase(ctx.out_set);  // no handle exists yet
     kill_all();
+    core_->release(ctx.out_set);  // no handle exists yet
     throw;
   }
   ctx_ = nullptr;
@@ -1334,16 +1297,12 @@ std::shared_ptr<PoolSet> WorkerPool::run_stage(StageMetrics& stage,
   return handle;
 }
 
-void WorkerPool::release_on_workers(std::uint64_t set) {
-  ipc::TaskFrame frame;
-  frame.kind = FrameKind::kRelease;
+void WorkerPool::release(std::uint64_t set, std::size_t sources) {
   WireWriter pw;
   pw.put_u64(set);
-  frame.payload = pw.take();
-  const std::string bytes = ipc::encode_frame(frame);
-  for (auto& w : workers_) {
-    if (w.alive) enqueue(w, bytes);
-  }
+  broadcast(FrameKind::kRelease, pw.take());
+  pooldetail::remove_shuffle_files(engine_.spill_dir(), set, sources,
+                                   nworkers_);
 }
 
 void WorkerPool::kill_all() noexcept {
@@ -1368,12 +1327,7 @@ void WorkerPool::shutdown() noexcept {
   // Clean shutdown: drain the submit queue (pending releases and friends),
   // append the shutdown marker, give the flush a bounded window, then let
   // EOF finish the job. Children exit on either signal.
-  ipc::TaskFrame bye;
-  bye.kind = FrameKind::kShutdown;
-  const std::string bytes = ipc::encode_frame(bye);
-  for (auto& w : workers_) {
-    if (w.alive) enqueue(w, bytes);
-  }
+  broadcast(FrameKind::kShutdown, {});
   for (int round = 0; round < 200; ++round) {
     std::vector<pollfd> fds;
     for (auto& w : workers_) {

@@ -19,17 +19,14 @@
 // so a narrow chain's steady-state IPC is task-assign and result-metric
 // frames, not data.
 //
-// Wide stages (partition_by) shuffle worker-to-worker, parent-brokered: each
-// source task runs the one routing function (detail::RoutePartition in
-// dataflow/rdd.hpp, the local backend's body too) and encodes its per-target
-// runs as segments, keeps segments whose target it owns (target % workers ==
-// slot), and pushes the rest as kShufflePush frames that the parent relays
-// verbatim to the owning worker. At kStageEnd each owner concatenates its
-// staged segments in source order and keeps the result resident. A lineage
-// rebuild assembles every lost target of a set with the same routine, from
-// one routing pass over the sources. Per-socket
-// FIFO ordering makes the barrier trivial: a relayed push always arrives
-// before the kStageEnd that follows it on the same socket.
+// Wide stages (partition_by) shuffle through sealed map-output files, as
+// Spark's do: each source task runs the one routing function
+// (detail::RoutePartition in dataflow/rdd.hpp, the local backend's body too)
+// and writes its per-target runs as segments into one shuffle file per
+// owning slot (target % workers == slot) in the engine's spill directory.
+// At kStageEnd every live worker, a replacement forked mid-stage included,
+// assembles the targets it owns from those files in source order and keeps
+// them resident. No shuffle record crosses a socket.
 //
 // Failure model: worker death (EOF / corrupt frame) charges one attempt to
 // each unfinished task it held — identical accounting to an injected task
@@ -37,12 +34,14 @@
 // incarnation + 1, where each task's attempt loop (detail::run_attempts, the
 // local backend's too) resumes after the charged attempts and fails the
 // task if they spent its budget. Partitions that were resident on
-// the dead worker are *not* re-shipped: the parent registry stores each set's
-// lineage (kernel, stage state, and the chain-head input bytes), so a lost
-// partition is rebuilt on demand by re-running kernels in the parent. Lineage
-// rebuilds consume no fault draws and charge no attempts (they are the PR 1
-// recomputation path, not retries), which keeps attempt accounting equal to
-// the local backend's.
+// the dead worker are *not* re-shipped: the parent registry stores each
+// narrow set's lineage (kernel, stage state, and input refs down to the
+// chain-head bytes) and a wide set's lineage is its shuffle files, so a lost
+// partition is rebuilt on demand in the parent: a narrow one by re-running
+// its kernel, a wide one by reassembling its slot's targets from the files
+// with the owners' routine. Lineage rebuilds consume no fault draws and
+// charge no attempts (they are the recomputation path, not retries), which
+// keeps attempt accounting equal to the local backend's.
 #pragma once
 
 #include <sys/types.h>
@@ -85,12 +84,14 @@ struct StoredInput {
 };
 
 /// Parent-side state of one resident set: where each partition lives plus
-/// everything needed to re-execute its producing stage.
+/// everything needed to rebuild a lost one.
 struct SetState {
   PoolStagePlan::Kind kind = PoolStagePlan::Kind::kNarrow;
   PoolKernelFn kernel = nullptr;
   std::string state;
-  std::vector<std::vector<StoredInput>> task_inputs;  ///< per task / source
+  std::vector<std::vector<StoredInput>> task_inputs;  ///< narrow: per task
+  /// Wide: source tasks, whose shuffle files are the set's lineage.
+  std::size_t sources = 0;
   std::vector<PartState> parts;
   /// Sum of the producing tasks' bytes_out (Rdd::estimated_bytes).
   std::size_t estimated_bytes = 0;
@@ -128,6 +129,36 @@ class RecvBuffer {
   std::size_t begin_ = 0;
   std::size_t end_ = 0;
 };
+
+/// One assembled wide target partition: its record count, and its bytes,
+/// byte for byte ipc::encode_payload of the records the local backend holds
+/// for it.
+struct TargetAssembly {
+  std::string bytes;
+  std::uint64_t records = 0;
+};
+
+/// Writes wide source task `source`'s routed output, a detail::encode_bundle
+/// segment bundle, as one sealed shuffle file per worker slot in `dir`: the
+/// slot's file holds the segments of the targets it owns.
+void write_shuffle_files(const std::string& dir, std::uint64_t set,
+                         std::size_t source, std::size_t workers,
+                         const std::string& bundle);
+
+/// Assembles, in target order, every target `slot` owns among a wide set's
+/// `targets`, from the shuffle files of sources 0..sources-1 in source order:
+/// what an owner runs at kStageEnd and the parent when an owner died. Throws
+/// std::runtime_error naming the file when one is missing or damaged.
+std::vector<TargetAssembly> assemble_targets(const std::string& dir,
+                                             std::uint64_t set,
+                                             std::size_t sources,
+                                             std::size_t workers,
+                                             std::size_t slot,
+                                             std::size_t targets);
+
+/// Deletes a released wide set's shuffle files.
+void remove_shuffle_files(const std::string& dir, std::uint64_t set,
+                          std::size_t sources, std::size_t workers);
 
 }  // namespace pooldetail
 
@@ -210,9 +241,9 @@ class WorkerPool {
   /// frame handler — death recovery defers reassignment to drain_reassign.
   void pump();
   void read_and_dispatch(PoolWorker& w);
-  /// `frame` and `raw` point into w.inbuf, which is consumed afterwards.
+  /// `frame` points into w.inbuf, which is consumed afterwards.
   void dispatch_frame(PoolWorker& w, const ipc::FrameView& frame,
-                      const char* raw, std::size_t consumed);
+                      std::size_t consumed);
   /// Fetches (set, partition) bytes from the worker holding it; false when
   /// the holder died first (caller falls back to lineage rebuild).
   bool fetch_from_worker(std::size_t slot, std::uint64_t set,
@@ -220,11 +251,13 @@ class WorkerPool {
   void send_stage_begin(PoolWorker& w);
   void send_assign(PoolWorker& w, std::size_t task, std::size_t attempt_base,
                    bool die_before);
-  void send_stage_end(PoolWorker& w);
+  /// Queues one frame to every live worker.
+  void broadcast(ipc::FrameKind kind, std::string payload);
   /// Re-dispatches the pending tasks of slots respawned since the last call.
   void drain_reassign();
-  /// Tells every live worker to drop a released set's resident bytes.
-  void release_on_workers(std::uint64_t set);
+  /// Tells every live worker to drop a released set's resident bytes, and
+  /// deletes its shuffle files (`sources` of them per slot; 0 if narrow).
+  void release(std::uint64_t set, std::size_t sources);
   void kill_all() noexcept;
   void shutdown() noexcept;
   void update_gauge() const;

@@ -52,15 +52,14 @@ enum class FrameKind : std::uint64_t {
   // Stage-protocol frames (PR 10). They share the 14-word header; any
   // kind-specific metadata (set ids, source indices, stage names) rides
   // inside the payload through the value codecs below.
-  kStageBegin = 2,   ///< parent -> worker: stage name, kind, kernel, state
-  kTaskAssign = 3,   ///< parent -> worker: one task with resolved inputs
-  kShufflePush = 4,  ///< worker -> parent -> owner: one routed segment
-  kStageEnd = 5,     ///< parent -> worker: barrier; wide stages assemble now
-  kAck = 6,          ///< worker -> parent: stage-end barrier reply
-  kFetch = 7,        ///< parent -> worker: send resident partition bytes
-  kData = 8,         ///< worker -> parent: kFetch reply
-  kRelease = 9,      ///< parent -> worker: drop a resident set
-  kShutdown = 10,    ///< parent -> worker: drain and exit cleanly
+  kStageBegin = 2,  ///< parent -> worker: stage name, kind, kernel, state
+  kTaskAssign = 3,  ///< parent -> worker: one task with resolved inputs
+  kStageEnd = 4,    ///< parent -> worker: barrier; wide stages assemble now
+  kAck = 5,         ///< worker -> parent: stage-end barrier reply
+  kFetch = 6,       ///< parent -> worker: send resident partition bytes
+  kData = 7,        ///< worker -> parent: kFetch reply
+  kRelease = 8,     ///< parent -> worker: drop a resident set
+  kShutdown = 9,    ///< parent -> worker: drain and exit cleanly
 };
 
 /// Highest kind a well-formed frame may carry; greater values are corruption

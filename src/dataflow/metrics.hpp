@@ -63,8 +63,8 @@ struct StageMetrics {
   /// Worker processes that died (socket EOF / corrupt frame) mid-stage.
   std::size_t worker_deaths = 0;
   /// Frame bytes that crossed the worker sockets for this stage, both
-  /// directions — task assigns, shuffle pushes and their relayed copies,
-  /// fetches, results.
+  /// directions — task assigns, fetches, results and barrier acks. A
+  /// shuffle's segments go through files, not sockets.
   std::size_t ipc_bytes = 0;
   /// Pool workers that served this stage without being freshly forked for
   /// it (the amortized fork tax).

@@ -222,8 +222,9 @@ void ensure_local(Rdd<K, V>& rdd) {
 // once the same way, as detail::RoutePartition: a per-source function that
 // groups the source's records into per-target runs. Locally the runs are
 // laid out target by target in source order; on the pool the kernel
-// detail::route_kernel encodes them as a segment bundle and each target's
-// owner concatenates its segments in source order. Output bytes and
+// detail::route_kernel encodes them as a segment bundle, the source task
+// writes it to shuffle files, and each target's owner concatenates its
+// segments from them in source order. Output bytes and
 // TaskMetrics therefore cannot diverge between backends.
 //
 // The closure contract: pool workers fork before any stage closure exists,
@@ -682,9 +683,9 @@ struct RoutePartition {
   }
 };
 
-/// Encodes routed runs as a segment bundle (the format of
-/// dataflow/ipc/pool.cpp): u64 run count, then per run its record count,
-/// its byte size and its records encoded back to back.
+/// Encodes routed runs as a segment bundle (the input of
+/// pooldetail::write_shuffle_files): u64 run count, then per run its record
+/// count, its byte size and its records encoded back to back.
 template <typename K, typename V>
 std::string encode_bundle(
     const std::vector<std::vector<std::pair<K, V>>>& runs) {
@@ -709,9 +710,8 @@ std::string encode_bundle(
 }
 
 /// The wide pool kernel, generated from RoutePartition the way pool_kernel
-/// is from a narrow stage's function. The worker keeps its own slot's
-/// segments and pushes the rest; record bytes never pass through the
-/// coordinator.
+/// is from a narrow stage's function. The worker writes its segments to
+/// shuffle files; record bytes never pass through the coordinator.
 template <typename K, typename V>
 std::string route_kernel(const PoolTaskCtx& ctx) {
   return encode_bundle(RoutePartition{}(
@@ -722,7 +722,7 @@ std::string route_kernel(const PoolTaskCtx& ctx) {
 
 /// Wide transformation: re-buckets every pair by `partitioner` through
 /// detail::RoutePartition, one task per source partition. On the process
-/// backend the routed runs shuffle worker to worker and the output stays
+/// backend the routed runs shuffle through files and the output stays
 /// resident; locally each target is laid out from the runs in source order.
 template <typename K, typename V>
 Rdd<K, V> partition_by(Engine& engine, const Rdd<K, V>& in,

@@ -131,17 +131,20 @@ CachedStringRdd::StringRdd CachedStringRdd::materialize() {
     }
   });
 
-  std::size_t lost_count = 0;
-  for (char l : lost) lost_count += l != 0;
-  if (lost_count > 0) {
-    auto& recover = engine_.begin_stage(name_ + ":recover", lost_count);
-    std::size_t slot = 0;
-    for (std::size_t p = 0; p < files_.size(); ++p) {
-      if (!lost[p]) continue;
-      auto& task = recover.tasks[slot++];
+  std::vector<std::size_t> lost_parts;
+  for (std::size_t p = 0; p < lost.size(); ++p) {
+    if (lost[p]) lost_parts.push_back(p);
+  }
+  if (!lost_parts.empty()) {
+    auto& recover = engine_.begin_stage(name_ + ":recover", lost_parts.size());
+    // One run of the lineage chain recomputes every lost partition.
+    auto recomputed = producer_(lost_parts);
+    for (std::size_t i = 0; i < lost_parts.size(); ++i) {
+      const std::size_t p = lost_parts[i];
+      auto& task = recover.tasks[i];
       task.partition = p;
       task.attempts = 1;
-      rdd.partitions[p] = producer_(p);
+      rdd.partitions[p] = std::move(recomputed.at(i));
       detail::record_input(task, rdd.partitions[p]);
       // Re-spill the recomputed partition so later reads are healthy (no
       // fault re-injection: recovery writes are assumed to land).

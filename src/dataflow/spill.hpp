@@ -14,9 +14,9 @@
 // trusted — so truncation or corruption is detected instead of silently
 // yielding garbage (or a multi-GB allocation). When a damaged or
 // missing file is detected on materialize and a producer closure was
-// recorded at construction, the lost partition is *recomputed from lineage*
-// — Spark's recovery story — and re-spilled; without a producer, a
-// descriptive SpillError is thrown.
+// recorded at construction, the lost partitions are *recomputed from
+// lineage*, all of them in one call — Spark's recovery story — and
+// re-spilled; without a producer, a descriptive SpillError is thrown.
 #pragma once
 
 #include <functional>
@@ -38,14 +38,14 @@ struct SpillError : std::runtime_error {
 class CachedStringRdd {
  public:
   using StringRdd = Rdd<std::string, std::string>;
-  /// Recomputes one lost partition from the cached dataset's lineage.
-  using Producer =
-      std::function<std::vector<std::pair<std::string, std::string>>(
-          std::size_t partition)>;
+  /// Recomputes the lost partitions (ascending) from the cached dataset's
+  /// lineage, returning them in the same order.
+  using Producer = std::function<std::vector<std::vector<StringRdd::Pair>>(
+      const std::vector<std::size_t>& partitions)>;
 
   /// Takes ownership of `rdd`; spills it if it exceeds the engine's memory
   /// budget. Records a "<name>:cache" stage with the spill write bytes.
-  /// `producer`, if given, recomputes partition p when its spill file is
+  /// `producer`, if given, recomputes the partitions whose spill files are
   /// later found damaged or missing.
   CachedStringRdd(Engine& engine, StringRdd rdd, const std::string& name,
                   Producer producer = nullptr);

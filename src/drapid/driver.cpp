@@ -296,13 +296,13 @@ DrapidResult run_drapid(Engine& engine, BlockStore& store,
   // The big SPE RDD is cached under the executor-memory budget; if it does
   // not fit it spills to disk here and is read back for the join — the
   // Figure 4 one-executor mechanism. The producer closure records the
-  // RDD's lineage: a spill partition later found corrupt or missing is
+  // RDD's lineage: the spill partitions later found corrupt or missing are
   // recomputed by re-running the deterministic load→partition→aggregate
-  // chain (recorded under "recompute:" stages, so recovery work is priced
-  // into the makespan) and keeping only the lost partition.
-  auto recompute_data_partition =
+  // chain once (recorded under "recompute:" stages, so recovery work is
+  // priced into the makespan) and keeping only the lost partitions.
+  auto recompute_data_partitions =
       [&engine, &store, data_file, join_part, upstream_part,
-       copartition = config.copartition](std::size_t p) {
+       copartition = config.copartition](const std::vector<std::size_t>& lost) {
         StringRdd kvp =
             load_keyed_file(engine, store, data_file, "recompute:");
         if (copartition) {
@@ -311,15 +311,18 @@ DrapidResult run_drapid(Engine& engine, BlockStore& store,
         }
         StringRdd agg = aggregate_lines(engine, kvp, upstream_part,
                                         "recompute:aggregate:data");
-        if (agg.resident) {
-          return ipc::decode_payload<std::pair<std::string, std::string>>(
-              pool_fetch(agg.resident, p));
+        std::vector<std::vector<StringRdd::Pair>> out;
+        for (const std::size_t p : lost) {
+          out.push_back(agg.resident
+                            ? ipc::decode_payload<StringRdd::Pair>(
+                                  pool_fetch(agg.resident, p))
+                            : std::move(agg.partitions.at(p)));
         }
-        return std::move(agg.partitions.at(p));
+        return out;
       };
   phase.emplace(engine.tracer(), "phase", "cache", "driver");
   CachedStringRdd cached_data(engine, std::move(data_agg), "data",
-                              recompute_data_partition);
+                              recompute_data_partitions);
   // Borrow, don't copy: in-memory caches hand out a const reference in
   // O(1); spilled caches are read back (through checksum validation and,
   // if needed, lineage recovery) exactly once.

@@ -167,6 +167,17 @@ StringRdd make_rdd(Engine& engine, std::size_t pairs) {
   return parallelize(engine, std::move(data), 4);
 }
 
+/// A producer that recomputes lost partitions as copies of `original`.
+CachedStringRdd::Producer replay(
+    std::vector<std::vector<StringRdd::Pair>> original) {
+  return [original = std::move(original)](
+             const std::vector<std::size_t>& lost) {
+    std::vector<std::vector<StringRdd::Pair>> out;
+    for (const std::size_t p : lost) out.push_back(original.at(p));
+    return out;
+  };
+}
+
 EngineConfig spilling_engine() {
   EngineConfig cfg = small_engine();
   cfg.executor_memory_bytes = 64;  // force every cache to spill
@@ -202,10 +213,9 @@ TEST(SpillFaults, ProducerRecomputesLostPartitionsByteIdentically) {
     cfg.faults = std::move(faults);
     Engine engine(cfg);
     auto rdd = make_rdd(engine, 80);
-    std::vector<std::vector<StringRdd::Pair>> original = rdd.partitions;
-    CachedStringRdd cached(
-        engine, std::move(rdd), "data",
-        [original](std::size_t p) { return original.at(p); });
+    auto original = rdd.partitions;
+    CachedStringRdd cached(engine, std::move(rdd), "data",
+                           replay(std::move(original)));
     EXPECT_TRUE(cached.spilled());
     auto collected = cached.materialize().collect();
     return std::make_pair(std::move(collected), cached.partitions_recovered());
@@ -225,10 +235,9 @@ TEST(SpillFaults, RecoveryReSpillsSoLaterReadsAreHealthy) {
   cfg.faults.corrupt_spill_partitions = {2};
   Engine engine(cfg);
   auto rdd = make_rdd(engine, 80);
-  std::vector<std::vector<StringRdd::Pair>> original = rdd.partitions;
-  CachedStringRdd cached(
-      engine, std::move(rdd), "data",
-      [original](std::size_t p) { return original.at(p); });
+  auto original = rdd.partitions;
+  CachedStringRdd cached(engine, std::move(rdd), "data",
+                         replay(std::move(original)));
   const auto first = cached.materialize().collect();
   EXPECT_EQ(cached.partitions_recovered(), 1u);
   const auto second = cached.materialize().collect();
@@ -331,24 +340,30 @@ PipelineConfig fault_pipeline() {
   return cfg;
 }
 
+/// The fault_pipeline job on one 2-core executor whose 8-partition data
+/// cache spills for real; returns the ML file and the run's result.
+std::pair<std::string, DrapidResult> run_spilling_drapid(
+    const PipelineData& data, FaultPlan faults) {
+  BlockStore store(15);
+  store.put("d.csv", data.data_csv);
+  store.put("c.csv", data.cluster_csv);
+  EngineConfig engine_cfg;
+  engine_cfg.num_executors = 1;
+  engine_cfg.cores_per_executor = 2;
+  engine_cfg.exec.threads_per_worker = 2;
+  engine_cfg.partitions_per_core = 4;
+  engine_cfg.executor_memory_bytes = 64 << 10;  // spill for real
+  engine_cfg.faults = std::move(faults);
+  Engine engine(engine_cfg);
+  auto result = run_drapid(engine, store, "d.csv", "c.csv", "ml",
+                           *fault_pipeline().survey.grid, {});
+  return std::make_pair(store.get("ml"), std::move(result));
+}
+
 TEST(DrapidFaults, JobSurvivesKillsCorruptionAndDeadNodeByteIdentically) {
-  const auto cfg = fault_pipeline();
-  const auto data = prepare_pipeline_data(cfg);
+  const auto data = prepare_pipeline_data(fault_pipeline());
   const auto run = [&](FaultPlan faults) {
-    BlockStore store(15);
-    store.put("d.csv", data.data_csv);
-    store.put("c.csv", data.cluster_csv);
-    EngineConfig engine_cfg;
-    engine_cfg.num_executors = 1;
-    engine_cfg.cores_per_executor = 2;
-    engine_cfg.exec.threads_per_worker = 2;
-    engine_cfg.partitions_per_core = 4;
-    engine_cfg.executor_memory_bytes = 64 << 10;  // spill for real
-    engine_cfg.faults = std::move(faults);
-    Engine engine(engine_cfg);
-    auto result = run_drapid(engine, store, "d.csv", "c.csv", "ml",
-                             *cfg.survey.grid, {});
-    return std::make_pair(store.get("ml"), std::move(result));
+    return run_spilling_drapid(data, std::move(faults));
   };
 
   const auto [clean_ml, clean] = run({});
@@ -383,6 +398,21 @@ TEST(DrapidFaults, JobSurvivesKillsCorruptionAndDeadNodeByteIdentically) {
     }
   }
   EXPECT_GT(faulty.metrics.total_retry_cost(), 0u);
+}
+
+TEST(DrapidFaults, LostSpillPartitionsShareOneRecomputeChain) {
+  const auto data = prepare_pipeline_data(fault_pipeline());
+  const auto [clean_ml, clean] = run_spilling_drapid(data, {});
+  FaultPlan lose;
+  lose.lose_spill_partitions = {0, 3, 5};
+  const auto [faulty_ml, faulty] = run_spilling_drapid(data, lose);
+  EXPECT_EQ(faulty_ml, clean_ml) << "output must be byte-identical";
+  EXPECT_EQ(faulty.partitions_recovered, 3u);
+  std::size_t loads = 0;
+  for (const auto& stage : faulty.metrics.stages) {
+    loads += stage.name == "recompute:load:d.csv";
+  }
+  EXPECT_EQ(loads, 1u) << "three lost partitions, one run of the chain";
 }
 
 TEST(DrapidFaults, RateBasedFaultsStillProduceIdenticalResults) {

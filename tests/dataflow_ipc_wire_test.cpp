@@ -220,10 +220,9 @@ TEST(WireFrame, PoolFrameKindsRoundTrip) {
   // Every pool-protocol kind must survive the wire unchanged — a kind that
   // maps onto another would route a shuffle segment as a task result.
   for (const FrameKind kind :
-       {FrameKind::kStageBegin, FrameKind::kTaskAssign,
-        FrameKind::kShufflePush, FrameKind::kStageEnd, FrameKind::kAck,
-        FrameKind::kFetch, FrameKind::kData, FrameKind::kRelease,
-        FrameKind::kShutdown}) {
+       {FrameKind::kStageBegin, FrameKind::kTaskAssign, FrameKind::kStageEnd,
+        FrameKind::kAck, FrameKind::kFetch, FrameKind::kData,
+        FrameKind::kRelease, FrameKind::kShutdown}) {
     TaskFrame in = sample_frame();
     in.kind = kind;
     const std::string bytes = encode_frame(in);
@@ -253,7 +252,7 @@ TEST(WireFrame, FramePartsMatchContiguousEncodingExactly) {
   // The vectored send path must produce the same byte stream as
   // encode_frame: header + spans + trailer == encode_frame(payload).
   TaskFrame frame = sample_frame();
-  frame.kind = FrameKind::kShufflePush;
+  frame.kind = FrameKind::kData;
   const std::string contiguous = encode_frame(frame);
 
   // Split the payload into three uneven spans (including an empty one).

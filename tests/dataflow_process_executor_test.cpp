@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "dataflow/block_store.hpp"
+#include "dataflow/ipc/pool.hpp"
 #include "dataflow/rdd.hpp"
 #include "dataflow/spill.hpp"
 #include "drapid/pipeline.hpp"
@@ -796,18 +797,18 @@ TEST(WorkerPoolMode, ShuffleTableMatchesLocal) {
   for (const auto& row : rows) expect_shuffle_matches(row, shuffle_pairs(row));
 }
 
-TEST(WorkerPoolMode, LostWideTargetsRebuildInOneRoutingPass) {
+TEST(WorkerPoolMode, WorkerKilledMidShuffleLeavesNothingToRebuild) {
   DRAPID_REQUIRE_FORK();
-  // Worker 0 dies mid-shuffle, so none of its targets (every other one of
-  // 16) is ever assembled. The first collect of one of them re-routes every
-  // source once and rebuilds them all; the rest are parent copies.
+  // Worker 0 dies mid-shuffle. Its replacement re-runs the lost source task
+  // and, at the barrier, assembles every target it owns from the shuffle
+  // files, so the parent rebuilds nothing, not even on the collect.
   const HashPartitioner part{16};
   const auto run = [&part](EngineConfig cfg) {
+    auto& rebuilds = obs::global_counters().counter("engine.pool_rebuilds");
+    const std::int64_t before = rebuilds.value();
     Engine engine(cfg);
     auto out = partition_by(engine, parallelize(engine, make_pairs(900), 6),
                             part, "shuffle");
-    auto& rebuilds = obs::global_counters().counter("engine.pool_rebuilds");
-    const std::int64_t before = rebuilds.value();
     ensure_local(out);
     return std::make_tuple(std::move(out.partitions),
                            rebuilds.value() - before,
@@ -817,10 +818,108 @@ TEST(WorkerPoolMode, LostWideTargetsRebuildInOneRoutingPass) {
   EngineConfig cfg = process_config(2);
   cfg.faults.kill_workers.push_back({"shuffle", 0});
   const auto [pool_parts, pool_rebuilds, pool_deaths] = run(cfg);
-  EXPECT_TRUE(pool_parts == local_parts) << "rebuilt targets differ";
+  EXPECT_TRUE(pool_parts == local_parts) << "shuffled targets differ";
   EXPECT_EQ(pool_deaths, 1u) << "the planned kill must fire";
-  EXPECT_EQ(pool_rebuilds, 1) << "one rebuild per lost set, not per target";
+  EXPECT_EQ(pool_rebuilds, 0);
   EXPECT_EQ(local_rebuilds, 0);
+}
+
+TEST(WorkerPoolMode, OwnerKilledAfterTheShuffleGetsItsTargetsFromFiles) {
+  DRAPID_REQUIRE_FORK();
+  // The shuffle's two sources stay resident on workers 0 and 1; worker 2
+  // owns every third target and dies in the narrow stage that reads them.
+  // Its lost targets are reassembled from the shuffle files, so the stage
+  // moves the bytes of the one target its replacement reruns, not the
+  // sources'.
+  const auto pairs = make_pairs(6000);
+  const HashPartitioner part{16};
+  const auto run = [&](EngineConfig cfg) {
+    auto& rebuilds = obs::global_counters().counter("engine.pool_rebuilds");
+    const std::int64_t before = rebuilds.value();
+    Engine engine(cfg);
+    const auto sources = map_values(
+        engine, parallelize(engine, pairs, 2),
+        [](const std::string& v) { return v; }, "stage_in");
+    const auto shuffled = partition_by(engine, sources, part, "shuffle");
+    const auto out = map_values(
+        engine, shuffled, [](const std::string& v) { return v + "!"; },
+        "after");
+    StageMetrics after = engine.metrics().stages.back();
+    return std::make_tuple(out.collect(), after, rebuilds.value() - before);
+  };
+  const auto [local_out, local_after, local_rebuilds] = run(local_config());
+  EngineConfig cfg = process_config(3);
+  cfg.faults.kill_workers.push_back({"after", 2});
+  const auto [pool_out, pool_after, pool_rebuilds] = run(cfg);
+  EXPECT_TRUE(pool_out == local_out) << "pooled output differs";
+  ASSERT_EQ(pool_after.name, "after");
+  EXPECT_EQ(pool_after.worker_deaths, 1u) << "the planned kill must fire";
+  EXPECT_GE(pool_rebuilds, 1) << "the lost targets come back from lineage";
+  std::size_t source_bytes = 0;
+  for (const auto& [k, v] : pairs) source_bytes += 16 + k.size() + v.size();
+  EXPECT_LT(pool_after.ipc_bytes, source_bytes)
+      << "recovery must not move the shuffle's sources";
+}
+
+/// The shuffle files in an engine's spill directory.
+std::size_t shuffle_file_count(const Engine& engine) {
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(engine.spill_dir())) {
+    files += entry.path().filename().string().rfind("shuffle_", 0) == 0;
+  }
+  return files;
+}
+
+TEST(WorkerPoolMode, ReleasedWideSetDeletesItsShuffleFiles) {
+  DRAPID_REQUIRE_FORK();
+  Engine engine(process_config(2));
+  {
+    const auto shuffled = partition_by(
+        engine, parallelize(engine, make_pairs(300), 6), HashPartitioner{8});
+    EXPECT_EQ(shuffle_file_count(engine), 6u * 2u)
+        << "one file per (source, worker slot)";
+    EXPECT_EQ(shuffled.collect().size(), 300u);
+  }
+  EXPECT_EQ(shuffle_file_count(engine), 0u);
+}
+
+TEST(ShuffleFile, MissingOrDamagedFileIsAnErrorNamingIt) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "drapid_shuffle_file_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::vector<std::vector<std::pair<std::string, std::string>>> runs = {
+      {{"a", "1"}}, {{"b", "2"}, {"c", "3"}}, {}};
+  const std::string bundle = detail::encode_bundle(runs);
+  for (std::size_t source = 0; source < 2; ++source) {
+    pooldetail::write_shuffle_files(dir.string(), 7, source, 2, bundle);
+  }
+  // Slot 0 owns targets 0 and 2: each source's run, in source order.
+  const auto owned = pooldetail::assemble_targets(dir.string(), 7, 2, 2, 0, 3);
+  ASSERT_EQ(owned.size(), 2u);
+  EXPECT_EQ(owned[0].records, 2u);
+  EXPECT_EQ(owned[0].bytes,
+            ipc::encode_payload(std::vector<std::pair<std::string,
+                                                  std::string>>{
+                {"a", "1"}, {"a", "1"}}));
+  EXPECT_EQ(owned[1].bytes, ipc::encode_payload(runs[2]));
+
+  const auto expect_error = [&dir](const std::string& file) {
+    try {
+      pooldetail::assemble_targets(dir.string(), 7, 2, 2, 1, 3);
+      FAIL() << "a bad shuffle file must not assemble";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find((dir / file).string()),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  fs::resize_file(dir / "shuffle_7_1_1.bin", 20);
+  expect_error("shuffle_7_1_1.bin");
+  fs::remove(dir / "shuffle_7_0_1.bin");
+  expect_error("shuffle_7_0_1.bin");
+  fs::remove_all(dir);
 }
 
 TEST(WorkerPoolMode, TypedShuffleMatchesLocal) {

@@ -2,11 +2,11 @@
 // mutated inputs must either parse cleanly or throw std::runtime_error —
 // never crash, hang, or corrupt memory. (Survey files in the wild are
 // truncated, re-encoded and hand-edited; a production pipeline sees all of
-// it.) The binary targets — sealed spill and segment bodies, worker-pool
-// frames — aim their mutations at the length and kind words, and re-seal
-// or re-checksum the result so the mutation gets past the checksum and
-// reaches the decoder behind it. Seeds are fixed and rounds bounded, so
-// every run replays the same cases.
+// it.) The binary targets — sealed spill, shuffle and segment bodies,
+// worker-pool frames — aim their mutations at the length and kind words,
+// and re-seal or re-checksum the result so the mutation gets past the
+// checksum and reaches the decoder behind it. Seeds are fixed and rounds
+// bounded, so every run replays the same cases.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +15,7 @@
 #include <iterator>
 #include <sstream>
 
+#include "dataflow/ipc/pool.hpp"
 #include "dataflow/ipc/wire.hpp"
 #include "dataflow/spill.hpp"
 #include "rapid/features.hpp"
@@ -326,6 +327,60 @@ TEST(FormatFuzz, SpillBodyNeverCrashes) {
       137, 400);
 }
 
+TEST(FormatFuzz, ShuffleBodyNeverCrashes) {
+  // One source's shuffle file for one worker slot: each re-sealed mutant is
+  // assembled into its target partitions, which the wire codec decodes.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "drapid_fuzz_shuffle";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto pairs = sample_pairs();
+  const std::vector<std::vector<std::pair<std::string, std::string>>> runs = {
+      {pairs[0], pairs[1]}, {pairs[2], pairs[3]}};
+  pooldetail::write_shuffle_files(dir.string(), 1, 0, 1,
+                                  detail::encode_bundle(runs));
+  const auto assemble = [&dir, &runs] {
+    return pooldetail::assemble_targets(dir.string(), 1, 1, 1, 0,
+                                        runs.size());
+  };
+  const auto targets = assemble();
+  ASSERT_EQ(targets.size(), runs.size());
+  for (std::size_t t = 0; t < runs.size(); ++t) {
+    EXPECT_EQ(targets[t].bytes, ipc::encode_payload(runs[t]));
+  }
+  const std::string path = fs::directory_iterator(dir)->path().string();
+  const auto [magic, body] = unseal(path);
+  std::vector<Word> words{{0, 8}};  // the segment count
+  std::size_t offset = 8;
+  for (const auto& run : runs) {
+    for (int field = 0; field < 3; ++field) {  // target, records, bytes
+      words.push_back({offset, 8});
+      offset += 8;
+    }
+    for (const auto& [k, v] : run) {
+      words.push_back({offset, 8});  // the key length
+      offset += 8 + k.size();
+      words.push_back({offset, 8});  // the value length
+      offset += 8 + v.size();
+    }
+  }
+  ASSERT_EQ(offset, body.size());
+  fuzz_with(
+      body,
+      [&words](const std::string& b, Rng& rng) {
+        return mutate_binary(b, words, rng);
+      },
+      [&path, &assemble, magic = magic](const std::string& mutated) {
+        write_sealed(path, magic, mutated);
+        for (const auto& target : assemble()) {
+          ipc::decode_payload<std::pair<std::string, std::string>>(
+              target.bytes);
+        }
+      },
+      151, 600);
+  fs::remove_all(dir);
+}
+
 /// Fuzzes ipc::try_decode_frame on mutants of one frame whose payload is a
 /// wire-codec string-pair vector; a frame that decodes has its payload
 /// decoded too. With `reseal`, each mutant's checksum is recomputed over
@@ -334,7 +389,7 @@ TEST(FormatFuzz, SpillBodyNeverCrashes) {
 void fuzz_frames(bool reseal, std::uint64_t seed) {
   constexpr std::size_t kHeaderBytes = 14 * 8;
   ipc::TaskFrame frame;
-  frame.kind = ipc::FrameKind::kShufflePush;
+  frame.kind = ipc::FrameKind::kData;
   frame.partition = 3;
   frame.payload = ipc::encode_payload(sample_pairs());
   const std::string valid = ipc::encode_frame(frame);
